@@ -1,12 +1,14 @@
 /// \file bench_explorer.cpp
 /// Streaming-acquisition gauge for the adaptive explorer: lazy decode
 /// throughput over the 10^6-point grid, surrogate scoring rates (forest
-/// mean and mean+spread, GP mean+variance), and the wall time of a full
+/// mean and mean+spread over the whole space; GP mean and mean+variance
+/// over a fixed 65,536-row slice of it), and the wall time of a full
 /// closed loop (seed sample -> simulate -> train -> stream-score ->
-/// acquire) over the million-point space.  Prints JSON; redirect to
-/// BENCH_explorer.json to record a run.  Pass --quick for a
-/// seconds-scale smoke with the same JSON shape.
+/// acquire) over the million-point space.  Prints JSON;
+/// BENCH_explorer.json keeps recorded runs under "before" and "after".
+/// Pass --quick for a seconds-scale smoke with the same JSON shape.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -114,22 +116,42 @@ int main(int argc, char** argv) {
   };
   const double rf_spread_seconds = timed_scan(space, rf_spread, 8192);
 
-  // --- GP surrogate: O(train^2) per row, so scan a bounded slice --------
-  ml::Matrix gp_xs;
-  std::vector<double> gp_y;
-  training_set(space, scaler, 128, &gp_xs, &gp_y);
-  ml::GaussianProcess gp;
-  gp.fit(gp_xs, gp_y);
-  const dse::BlockScorer gp_scorer = [&](const ml::Matrix& x, std::size_t,
-                                         std::span<double> out) {
-    thread_local std::vector<double> mu;
-    thread_local std::vector<double> var;
-    const ml::Matrix scaled = scaler.transform(x);
-    gp.predict_with_variance(scaled, mu, var);
-    std::copy(var.begin(), var.end(), out.begin());
+  // --- GP surrogate on a fixed slice: every stride-th point, up to
+  // 65,536 rows, fitted on 32 and 64 rows like the explorer's rounds.
+  // Means alone are the exploit round and final ranking; means plus
+  // variance are the acquisition rounds.
+  const std::size_t width = dse::DesignPoint::feature_names().size();
+  const std::size_t slice_rows = std::min<std::size_t>(65536, n);
+  const std::size_t stride = n / slice_rows;
+  ml::Matrix slice(slice_rows, width);
+  for (std::size_t r = 0; r < slice_rows; ++r) {
+    space.decode_features(r * stride, r * stride + 1, slice.row(r));
+  }
+  const ml::Matrix scaled_slice = scaler.transform(slice);
+  struct GpRate {
+    std::size_t train_rows;
+    double mean_rows_per_second;
+    double variance_rows_per_second;
   };
-  const dse::LazySpace gp_space = dse::LazySpace::paper();
-  const double gp_seconds = timed_scan(gp_space, gp_scorer, 8192);
+  std::vector<GpRate> gp_rates;
+  for (const std::size_t train_rows : {32ul, 64ul}) {
+    ml::Matrix gp_xs;
+    std::vector<double> gp_y;
+    training_set(space, scaler, train_rows, &gp_xs, &gp_y);
+    ml::GpParams gp_params;
+    gp_params.kernel.gamma = 2.0;  // the explorer's default width
+    ml::GaussianProcess gp(gp_params);
+    gp.fit(gp_xs, gp_y);
+    const bench::Stopwatch mean_watch;
+    gp.predict(scaled_slice);
+    const double mean_seconds = mean_watch.seconds();
+    std::vector<double> mu, var;
+    const bench::Stopwatch variance_watch;
+    gp.predict_with_variance(scaled_slice, mu, var);
+    const double variance_seconds = variance_watch.seconds();
+    gp_rates.push_back({train_rows, slice_rows / mean_seconds,
+                        slice_rows / variance_seconds});
+  }
 
   // --- the full closed loop over the same space -------------------------
   const auto trace = bench::paper_trace(quick ? 256 : 512);
@@ -152,8 +174,13 @@ int main(int argc, char** argv) {
               n / rf_mean_seconds);
   std::printf("  \"rf_spread_scorer_rows_per_second\": %.0f,\n",
               n / rf_spread_seconds);
-  std::printf("  \"gp_variance_scorer_rows_per_second\": %.0f,\n",
-              gp_space.size() / gp_seconds);
+  std::printf("  \"gp_slice_rows\": %zu,\n", slice_rows);
+  for (const GpRate& rate : gp_rates) {
+    std::printf("  \"gp%zu_mean_rows_per_second\": %.0f,\n", rate.train_rows,
+                rate.mean_rows_per_second);
+    std::printf("  \"gp%zu_variance_rows_per_second\": %.0f,\n",
+                rate.train_rows, rate.variance_rows_per_second);
+  }
   std::printf("  \"closed_loop_seconds\": %.3f,\n", loop_seconds);
   std::printf("  \"closed_loop_rounds\": %zu,\n", result.rounds.size());
   std::printf("  \"closed_loop_simulations\": %zu,\n", result.labeled.size());

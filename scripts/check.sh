@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Pre-merge check: configure (Release, warnings on), build, run the full
-# test suite, then print the sweep microbenchmark gauges so perf
-# regressions are visible next to the test results.
+# test suite and the end-to-end benchmark's quick-scale digest check,
+# then print the sweep microbenchmark gauges so perf regressions are
+# visible next to the test results.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 
@@ -16,6 +17,15 @@ cmake -B "$BUILD_DIR" -S . \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
+
+echo
+echo "== end-to-end benchmark, quick scale (pinned seed-1 digests) =="
+# bench_e2e/ is a package of its own: it builds the library from src/
+# and its ctest, bench_e2e_quick, runs every workload once and fails on
+# any digest, failed operation or check that does not hold.
+cmake -B "$BUILD_DIR/bench_e2e" -S bench_e2e -DCMAKE_BUILD_TYPE=Release
+cmake --build "$BUILD_DIR/bench_e2e" -j "$(nproc)"
+ctest --test-dir "$BUILD_DIR/bench_e2e" --output-on-failure
 
 echo
 echo "== GMDT pack -> verify -> unpack smoke =="

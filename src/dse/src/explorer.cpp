@@ -101,9 +101,8 @@ std::vector<ScoredPoint> stream_score_topk(
     if (x.rows() != rows || x.cols() != width) x = ml::Matrix(rows, width);
     scores.resize(rows);
 
-    for (std::size_t r = 0; r < rows; ++r) {
-      space.decode_features(begin + r, begin + r + 1, x.row(r));
-    }
+    space.decode_features(begin, end,
+                          std::span(x.row(0).data(), rows * width));
     scorer(x, begin, scores);
 
     TopK local(k);

@@ -27,8 +27,8 @@ class GaussianProcess final : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
   double predict_one(std::span<const double> x) const override;
 
-  /// Batch predictive means: skips the per-row O(n^2) variance
-  /// back-substitution predict_one pays, returning the same means.
+  /// Batch predictive means: skips the O(n^2) variance solves, returning
+  /// the same means as predict_with_variance.
   std::vector<double> predict(const Matrix& x) const override;
 
   /// Predictive mean and variance at one point.
@@ -41,11 +41,10 @@ class GaussianProcess final : public Regressor {
   void predict_with_variance(const Matrix& x, std::vector<double>& means,
                              std::vector<double>& variances) const;
 
-  /// Blockwise-parallel batch variant: rows are sharded across a thread
-  /// pool (0: hardware concurrency, 1: serial).  Every row runs the
-  /// same independent per-row math as the scalar path and lands at its
-  /// own output index, so results are bit-identical to the serial
-  /// overload at any thread count.
+  /// Blockwise-parallel batch variant: row blocks are sharded across a
+  /// thread pool (0: hardware concurrency, 1: serial).  Every block runs
+  /// the same kernel as the serial path and lands at its own output
+  /// indices, so results are bit-identical at any thread count.
   void predict_with_variance(const Matrix& x, std::vector<double>& means,
                              std::vector<double>& variances,
                              std::size_t num_threads) const;
@@ -55,17 +54,23 @@ class GaussianProcess final : public Regressor {
   bool is_fitted() const override { return fitted_; }
 
  private:
-  std::vector<double> kernel_row(std::span<const double> x) const;
+  /// The one prediction kernel: means (and variances, unless
+  /// `variances` is null) of `count` (1..8) query rows stored
+  /// contiguously at `rows`.  Each row runs the textbook sequence --
+  /// kernel row, mean sum, full forward and backward Cholesky solves,
+  /// then k . x -- in that order, so a row's bits depend neither on the
+  /// entry point nor on where it sits in a block.  The rows' independent
+  /// solves are interleaved so their latencies overlap.
+  void predict_block(const double* rows, std::size_t count, double* means,
+                     double* variances) const;
 
-  /// One row's mean + variance; `k` is a caller-owned scratch buffer of
-  /// train_.rows() doubles.  Both batch overloads and the scalar path
-  /// funnel through this, so they cannot drift.
-  std::pair<double, double> predict_row(std::span<const double> row,
-                                        std::vector<double>& k) const;
+  /// predict_block over every row of `x`, in blocks.
+  void predict_rows(const Matrix& x, double* means, double* variances) const;
 
   GpParams params_;
   Matrix train_;
   Matrix chol_;               ///< Cholesky factor of K + noise I.
+  Matrix chol_t_;             ///< chol_ transposed, for the backward solve.
   std::vector<double> alpha_; ///< (K + noise I)^-1 (y - mean).
   double y_mean_ = 0.0;
   bool fitted_ = false;

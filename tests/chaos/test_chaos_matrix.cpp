@@ -10,6 +10,7 @@
 /// service sites (run under ASan and TSan in CI).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -42,7 +43,8 @@ using service::Json;
 class ChaosMatrixTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(testing::TempDir() + "/gmd_chaos_matrix");
+    dir_ = new std::string(testing::TempDir() + "/gmd_chaos_matrix_" +
+                           std::to_string(::getpid()));
     std::filesystem::create_directories(*dir_);
     store_path_ = new std::string(*dir_ + "/workload.gmdt");
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <set>
@@ -290,6 +292,48 @@ TEST_F(ExplorerTest, SurrogateAgreesWithExhaustive416Sweep) {
       << "explorer found " << topk_agreement(picks, truth) * 10
       << " of the true top-10 with " << result.labeled.size()
       << " simulations";
+}
+
+TEST_F(ExplorerTest, GpExpectedImprovementTrajectoryIsPinned) {
+  // A GP/EI run on the paper grid, pinned to the indices and score bits
+  // the per-row GP implementation produced.  The EI rounds rank by
+  // mean and variance; the exploit round and the final top-k by mean.
+  ExplorerOptions options = small_options();
+  options.model = "gp";
+  options.acquisition = Acquisition::kExpectedImprovement;
+  const ExplorerResult result =
+      run_explorer(LazySpace::paper(), *trace_, options);
+
+  const std::vector<std::vector<std::size_t>> rounds = {
+      {292, 216, 238, 162, 290, 59, 29, 158},
+      {279, 281, 277, 233},
+      {247, 221, 351, 325},
+      {273, 255, 253, 257}};
+  ASSERT_EQ(result.rounds.size(), rounds.size());
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    EXPECT_EQ(result.rounds[r].acquired, rounds[r]) << "round " << r;
+  }
+  const std::vector<std::size_t> labeled = {
+      29,  59,  158, 162, 216, 221, 233, 238, 247, 253,
+      255, 257, 273, 277, 279, 281, 290, 292, 325, 351};
+  std::vector<std::size_t> got_labeled;
+  for (const auto& [index, row] : result.labeled) got_labeled.push_back(index);
+  EXPECT_EQ(got_labeled, labeled);
+
+  // {index, score bits}: 299, 195, 169 and 403 are GP predictions, 273
+  // was simulated.
+  const std::vector<std::pair<std::size_t, std::uint64_t>> top = {
+      {299, 0x4054d6066c1f4675ULL},   // 83.344141989271364
+      {273, 0x405676865cc47b25ULL},   // 89.851950828433999
+      {195, 0x405d4ef7d61927aeULL},   // 117.2338767285971
+      {169, 0x405d61efe6769055ULL},   // 117.53026734903808
+      {403, 0x405d9f0f97f4e21aULL}};  // 118.48532675661446
+  ASSERT_EQ(result.top.size(), top.size());
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    EXPECT_EQ(result.top[i].index, top[i].first) << "rank " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.top[i].score), top[i].second)
+        << "rank " << i << ": " << result.top[i].score;
+  }
 }
 
 TEST(ExplorerHelpers, ExhaustiveTopkAndAgreement) {

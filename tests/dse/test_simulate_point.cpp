@@ -6,6 +6,7 @@
 /// sampled geometries.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -52,7 +53,8 @@ class SimulatePointStore : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     store_path_ = new std::string(testing::TempDir() +
-                                  "/gmd_simulate_point_store.gmdt");
+                                  "/gmd_simulate_point_store_" +
+                                  std::to_string(::getpid()) + ".gmdt");
     std::filesystem::remove(*store_path_);
     tracestore::TraceStoreWriterOptions wopts;
     wopts.events_per_chunk = 1000;

@@ -1,6 +1,7 @@
 #include "gmd/service/service.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <condition_variable>
@@ -28,7 +29,8 @@ namespace {
 class ServiceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string(testing::TempDir() + "/gmd_service_test");
+    dir_ = new std::string(testing::TempDir() + "/gmd_service_test_" +
+                           std::to_string(::getpid()));
     std::filesystem::create_directories(*dir_);
     store_path_ = new std::string(*dir_ + "/workload.gmdt");
 

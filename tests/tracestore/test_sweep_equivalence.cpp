@@ -3,6 +3,7 @@
 /// the container changes the storage, never the physics.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cstdint>
@@ -49,7 +50,7 @@ void expect_metrics_bit_identical(const memsim::MemoryMetrics& a,
 class GmdtSweepEquivalence : public testing::Test {
  protected:
   void SetUp() override {
-    dir_ = testing::TempDir() + "/gmd_equiv";
+    dir_ = testing::TempDir() + "/gmd_equiv_" + std::to_string(::getpid());
     std::filesystem::create_directories(dir_);
 
     // A real workload trace (unaligned addresses, mixed sizes), written
@@ -63,6 +64,8 @@ class GmdtSweepEquivalence : public testing::Test {
     trace::Gem5TraceWriter writer(out);
     for (const auto& event : raw_events) writer.on_event(event);
   }
+
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string dir_;
   std::string gem5_path_;

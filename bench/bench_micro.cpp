@@ -19,6 +19,7 @@
 #include "gmd/ml/regressor.hpp"
 #include "gmd/trace/converter.hpp"
 #include "gmd/trace/formats.hpp"
+#include "support.hpp"
 
 namespace {
 
@@ -138,40 +139,6 @@ void BM_MemorySimulationReference(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySimulationReference);
 
-/// One-time cost of carving the cached per-channel partition that the
-/// channel-parallel replay consumes (the predecode build itself is
-/// excluded via pause/resume).
-void BM_PredecodePartitionByChannel(benchmark::State& state) {
-  const auto trace = make_trace(1024);
-  const auto config = memsim::make_dram_config(4, 666, 3000);
-  for (auto _ : state) {
-    state.PauseTiming();
-    const auto predecoded = memsim::PredecodedTrace::build(config, trace);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(
-        &predecoded.partition_by_channel(config.channels));
-  }
-  state.SetItemsProcessed(state.iterations() * trace.size());
-}
-BENCHMARK(BM_PredecodePartitionByChannel);
-
-/// Channel-parallel replay of a shared predecoded trace (partition
-/// already cached).  Speedup needs spare cores: on a single-core host
-/// this gauges the thread and merge overhead instead.
-void BM_MemorySimulationParallel(benchmark::State& state) {
-  const auto trace = make_trace(1024);
-  auto config = memsim::make_dram_config(4, 666, 3000);
-  config.sim.num_workers = static_cast<std::uint32_t>(state.range(0));
-  const auto predecoded = memsim::PredecodedTrace::build(config, trace);
-  predecoded.partition_by_channel(config.channels);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        memsim::MemorySystem::simulate(config, predecoded));
-  }
-  state.SetItemsProcessed(state.iterations() * trace.size());
-}
-BENCHMARK(BM_MemorySimulationParallel)->Arg(1)->Arg(2)->Arg(4);
-
 /// Chunk-sampled estimate at 10% of 2000-event windows — the cheap
 /// screening tier, which should scale with the sampled fraction.
 void BM_MemorySimulationSampled(benchmark::State& state) {
@@ -190,10 +157,9 @@ BENCHMARK(BM_MemorySimulationSampled);
 
 void BM_TraceConverter(benchmark::State& state) {
   const auto trace = make_trace(1024);
-  const auto dir = std::filesystem::temp_directory_path() / "gmd_bench_conv";
-  std::filesystem::create_directories(dir);
-  const std::string in_path = (dir / "in.txt").string();
-  const std::string out_path = (dir / "out.txt").string();
+  const bench::ScratchDir dir("gmd_bench_conv");
+  const std::string in_path = (dir.path() / "in.txt").string();
+  const std::string out_path = (dir.path() / "out.txt").string();
   {
     std::ofstream out(in_path);
     trace::Gem5TraceWriter writer(out);

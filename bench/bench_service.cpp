@@ -26,6 +26,7 @@
 #include "gmd/graph/generators.hpp"
 #include "gmd/service/service.hpp"
 #include "gmd/tracestore/writer.hpp"
+#include "support.hpp"
 
 namespace {
 
@@ -74,9 +75,8 @@ int main(int argc, char** argv) {
   const auto vertices =
       argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 512;
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "gmd_bench_service").string();
-  std::filesystem::create_directories(dir);
+  const bench::ScratchDir scratch("gmd_bench_service");
+  const std::string dir = scratch.path().string();
   const std::string store_path = dir + "/workload.gmdt";
   const auto events = bfs_trace(vertices);
   tracestore::TraceStoreWriterOptions wopts;
@@ -213,6 +213,5 @@ int main(int argc, char** argv) {
   std::printf("  \"fault_point_disarmed_ns\": %.4f,\n", fault_point_ns);
   std::printf("  \"cache_hit_rate\": %.4f\n", hit_rate);
   std::printf("}\n");
-  std::filesystem::remove_all(dir);
   return 0;
 }

@@ -1,15 +1,15 @@
 /// \file bench_sweep.cpp
 /// Sweep-throughput gauge: times the memory simulator's event loop on
-/// the default FR-FCFS/open-page DRAM config, the channel-parallel and
-/// chunk-sampled speed tiers, and the full 416-point `run_sweep` over
-/// the paper's design space, then prints the numbers as JSON (redirect
-/// to BENCH_sweep.json to record a run).
+/// the default FR-FCFS/open-page DRAM config, the chunk-sampled speed
+/// tier, and the full 416-point `run_sweep` over the paper's design
+/// space, then prints the numbers as JSON (redirect to BENCH_sweep.json
+/// to record a run).
 ///
 /// Usage: bench_sweep [rmat_scale]
 ///
-/// The parallel section replays a BFS trace over an R-MAT graph of
+/// The sampled section replays a BFS trace over an R-MAT graph of
 /// 2^rmat_scale vertices (default 14; the paper-scale figure uses 18,
-/// which needs a few GB of RAM and a multi-core host to show speedup).
+/// which needs a few GB of RAM).
 
 #include <chrono>
 #include <cstdio>
@@ -87,26 +87,9 @@ int main(int argc, char** argv) {
     (void)m;
   });
 
-  // Channel-parallel replay: BFS over an R-MAT graph, 4-channel DRAM,
-  // shared predecoded trace with the per-channel partition prebuilt.
+  // Chunk-sampled estimate at 10% of 2000-event windows on a BFS trace
+  // over an R-MAT graph (single 2-channel DRAM config).
   const auto rmat_trace = make_rmat_trace(rmat_scale);
-  auto parallel_config = memsim::make_dram_config(4, 666, 3000);
-  const auto predecoded =
-      memsim::PredecodedTrace::build(parallel_config, rmat_trace);
-  predecoded.partition_by_channel(parallel_config.channels);
-  double parallel_eps[3] = {0, 0, 0};
-  const std::uint32_t worker_counts[3] = {1, 2, 4};
-  for (int w = 0; w < 3; ++w) {
-    parallel_config.sim.num_workers = worker_counts[w];
-    parallel_eps[w] = throughput(rmat_trace.size(), 1.5, [&] {
-      const auto m =
-          memsim::MemorySystem::simulate(parallel_config, predecoded);
-      (void)m;
-    });
-  }
-
-  // Chunk-sampled estimate at 10% of 2000-event windows on the same
-  // R-MAT trace (single 2-channel DRAM config).
   memsim::SpanChunkedTrace chunked(rmat_trace, 2000);
   memsim::SampledSimOptions sample_options;
   sample_options.fraction = 0.1;
@@ -135,18 +118,9 @@ int main(int argc, char** argv) {
   std::printf("{\n");
   std::printf("  \"trace_events\": %zu,\n", trace.size());
   std::printf("  \"memsim_events_per_second\": %.0f,\n", events_per_second);
-  std::printf("  \"parallel\": {\n");
+  std::printf("  \"sampled\": {\n");
   std::printf("    \"rmat_scale\": %u,\n", rmat_scale);
   std::printf("    \"rmat_trace_events\": %zu,\n", rmat_trace.size());
-  std::printf("    \"events_per_second_workers1\": %.0f,\n", parallel_eps[0]);
-  std::printf("    \"events_per_second_workers2\": %.0f,\n", parallel_eps[1]);
-  std::printf("    \"events_per_second_workers4\": %.0f,\n", parallel_eps[2]);
-  std::printf("    \"speedup_workers2\": %.2f,\n",
-              parallel_eps[1] / parallel_eps[0]);
-  std::printf("    \"speedup_workers4\": %.2f\n",
-              parallel_eps[2] / parallel_eps[0]);
-  std::printf("  },\n");
-  std::printf("  \"sampled\": {\n");
   std::printf("    \"fraction\": %.2f,\n", sample_options.fraction);
   std::printf("    \"chunks_sampled\": %zu,\n", sampled.chunks_sampled);
   std::printf("    \"chunks_total\": %zu,\n", sampled.chunks_total);

@@ -22,6 +22,7 @@
 #include "gmd/trace/formats.hpp"
 #include "gmd/tracestore/reader.hpp"
 #include "gmd/tracestore/writer.hpp"
+#include "support.hpp"
 
 namespace {
 
@@ -53,8 +54,8 @@ std::size_t file_bytes(const std::string& path) {
 }  // namespace
 
 int main() {
-  const std::string dir = "/tmp/gmd_bench_tracestore";
-  std::filesystem::create_directories(dir);
+  const bench::ScratchDir scratch("gmd_bench_tracestore");
+  const std::string dir = scratch.path().string();
   const std::string gem5_path = dir + "/bench.gem5.txt";
   const std::string nvmain_path = dir + "/bench.nvmain.txt";
   const std::string store_path = dir + "/bench.gmdt";

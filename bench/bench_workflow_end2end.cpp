@@ -12,9 +12,8 @@
 int main() {
   using namespace gmd;
 
-  const auto tmp =
-      std::filesystem::temp_directory_path() / "gmd_bench_workflow";
-  std::filesystem::create_directories(tmp);
+  const bench::ScratchDir scratch("gmd_bench_workflow");
+  const std::filesystem::path& tmp = scratch.path();
 
   dse::WorkflowConfig config;
   config.graph_vertices = 1024;

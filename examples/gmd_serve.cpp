@@ -11,7 +11,7 @@
 /// Usage: gmd_serve [--traces alias=path,alias2=path2]
 ///          [--models name=path,name2=path2]
 ///          [--threads N] [--queue-depth N] [--cache-capacity N]
-///          [--cache-shards N] [--default-deadline-ms N] [--sim-workers N]
+///          [--cache-shards N] [--default-deadline-ms N]
 ///          [--quarantine-probe-ms N] [--faults SPEC]
 ///
 /// Traces/models can also arrive at runtime via the register_trace /
@@ -63,8 +63,6 @@ int run(int argc, const char* const* argv) {
   cli.add_option("cache-shards", "8", "result cache shards");
   cli.add_option("default-deadline-ms", "0",
                  "deadline for requests without one (0: unlimited)");
-  cli.add_option("sim-workers", "1",
-                 "channel-parallel workers per simulation");
   cli.add_option("quarantine-probe-ms", "5000",
                  "min delay between re-probes of a quarantined resource "
                  "(0: probe on every lookup)");
@@ -82,7 +80,6 @@ int run(int argc, const char* const* argv) {
   options.cache_shards = static_cast<std::size_t>(cli.get_int("cache-shards"));
   options.default_deadline =
       std::chrono::milliseconds(cli.get_int("default-deadline-ms"));
-  options.sim_workers = static_cast<std::uint32_t>(cli.get_int("sim-workers"));
   options.quarantine_probe_interval =
       std::chrono::milliseconds(cli.get_int("quarantine-probe-ms"));
 

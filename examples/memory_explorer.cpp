@@ -146,9 +146,6 @@ int main(int argc, char** argv) {
       .add_option("checkpoint", "",
                   "journal completed rows to this file (atomic rewrite)")
       .add_flag("resume", "resume from an existing --checkpoint journal")
-      .add_option("sim-workers", "1",
-                  "channel-parallel threads per simulation (bit-identical; "
-                  "the point pool shrinks to compensate)")
       .add_option("sample-fraction", "1.0",
                   "chunk-sampled sweep: fraction of trace chunks per point "
                   "(1.0 = exhaustive; hybrid points stay exhaustive)")
@@ -192,8 +189,6 @@ int main(int argc, char** argv) {
         std::chrono::milliseconds(cli.get_int("deadline-ms"));
     sweep.checkpoint_path = cli.get_string("checkpoint");
     sweep.resume = cli.get_flag("resume");
-    sweep.sim_workers =
-        static_cast<std::uint32_t>(cli.get_int("sim-workers"));
     sweep.sample_fraction = cli.get_double("sample-fraction");
     sweep.sample_seed = static_cast<std::uint64_t>(cli.get_int("sample-seed"));
     sweep.sampling_chunk_events =

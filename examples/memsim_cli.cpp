@@ -36,9 +36,6 @@ int main(int argc, char** argv) {
                   "trace container: text (NVMain) | gmdt (trace store)")
       .add_option("emit-config", "",
                   "print a preset config (dram or nvm) to stdout and exit")
-      .add_option("sim-workers", "1",
-                  "channel-parallel simulation threads (bit-identical "
-                  "results; hybrid mode always runs serial)")
       .add_option("sample-fraction", "1.0",
                   "simulate only this fraction of trace chunks and report "
                   "estimates with confidence intervals; 1.0 = exhaustive "
@@ -107,9 +104,7 @@ int main(int argc, char** argv) {
       description = "hybrid (" + std::to_string(config.total_channels()) +
                     " channels)";
     } else {
-      memsim::MemoryConfig config = memsim::load_config(config_path);
-      config.sim.num_workers =
-          static_cast<std::uint32_t>(cli.get_int("sim-workers"));
+      const memsim::MemoryConfig config = memsim::load_config(config_path);
       if (sampling) {
         memsim::SpanChunkedTrace chunked(
             events,

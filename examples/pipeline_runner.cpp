@@ -54,9 +54,6 @@ int main(int argc, char** argv) {
                   "fault injection: _Exit(137) after N sweep points start")
       .add_option("fail-stage", "",
                   "fault injection: throw right before this stage")
-      .add_option("sim-workers", "1",
-                  "channel-parallel threads per sweep simulation "
-                  "(bit-identical results)")
       .add_option("sweep-processes", "0",
                   "worker PROCESSES for the sweep stage (0 = in-process; "
                   ">0 runs the lease-based distributed sweep, which "
@@ -89,8 +86,6 @@ int main(int argc, char** argv) {
                                              : dse::reduced_design_space();
     // Survive injected per-point faults instead of aborting the sweep.
     options.sweep.failure_policy = dse::FailurePolicy::kRetry;
-    options.sweep.sim_workers =
-        static_cast<std::uint32_t>(cli.get_int("sim-workers"));
     options.sweep_processes =
         static_cast<std::size_t>(cli.get_int("sweep-processes"));
     options.sweep.sample_fraction = cli.get_double("sample-fraction");

@@ -18,7 +18,7 @@
 /// Usage: sweep_worker --run-dir DIR [--worker ID]
 ///          [--space axis|reduced|paper] [--axis ctrl|cpu|channels|trcd]
 ///          [--kind dram|nvm|hybrid] [--policy skip|retry|failfast]
-///          [--retries N] [--deadline-ms N] [--threads N] [--sim-workers N]
+///          [--retries N] [--deadline-ms N] [--threads N]
 ///          [--sample-fraction F] [--sample-seed N] [--sample-chunk-events N]
 ///          [--heartbeat-ms N] [--poll-ms N] [--idle-timeout-ms N]
 ///          [--wait-ms N] [--exit-after-points K]
@@ -111,8 +111,6 @@ int main(int argc, char** argv) {
       .add_option("deadline-ms", "0",
                   "per-point wall budget in milliseconds (0: unlimited)")
       .add_option("threads", "0", "sweep threads (0 = hardware)")
-      .add_option("sim-workers", "1",
-                  "channel-parallel threads per simulation")
       .add_option("sample-fraction", "1.0",
                   "chunk-sampled sweep: fraction of store chunks per point")
       .add_option("sample-seed", "1", "seed of the sampled chunk subset")
@@ -153,8 +151,6 @@ int main(int argc, char** argv) {
         std::chrono::milliseconds(cli.get_int("deadline-ms"));
     worker.sweep.num_threads =
         static_cast<std::size_t>(cli.get_int("threads"));
-    worker.sweep.sim_workers =
-        static_cast<std::uint32_t>(cli.get_int("sim-workers"));
     worker.sweep.sample_fraction = cli.get_double("sample-fraction");
     worker.sweep.sample_seed =
         static_cast<std::uint64_t>(cli.get_int("sample-seed"));

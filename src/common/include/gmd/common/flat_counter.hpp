@@ -38,38 +38,6 @@ class FlatCounter {
     return count;
   }
 
-  /// Adds `count` occurrences of `key` at once; returns the new count.
-  std::uint64_t add(std::uint64_t key, std::uint64_t count) {
-    GMD_ASSERT(key != kEmpty, "FlatCounter key out of range");
-    if (count == 0) return 0;
-    if ((size_ + 1) * 10 > entries_.size() * 7) grow();
-    Entry& entry = find_slot(key);
-    if (entry.key == kEmpty) {
-      entry.key = key;
-      ++size_;
-    }
-    entry.count += count;
-    if (entry.count > max_count_) max_count_ = entry.count;
-    return entry.count;
-  }
-
-  /// Visits every (key, count) pair, in unspecified order.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Entry& entry : entries_) {
-      if (entry.key != kEmpty) fn(entry.key, entry.count);
-    }
-  }
-
-  /// Adds every count of `other` into this counter — the reduction step
-  /// for per-worker endurance counters.  max/size come out identical no
-  /// matter the merge order.
-  void merge(const FlatCounter& other) {
-    other.for_each([this](std::uint64_t key, std::uint64_t count) {
-      add(key, count);
-    });
-  }
-
   /// Number of distinct keys seen.
   std::uint64_t size() const { return size_; }
   /// Largest count over all keys (0 when empty).

@@ -99,13 +99,7 @@ struct SweepOptions {
   /// through the raw event path, as a validation baseline.
   bool share_predecoded_traces = true;
 
-  // --- simulation speed tiers ------------------------------------------
-  /// Channel-parallel workers inside each single-technology simulation
-  /// (memsim::MemSimOptions::num_workers).  Results are bit-identical
-  /// at any worker count; the outer point pool is divided by this
-  /// factor so total thread pressure stays near num_threads.  Hybrid
-  /// points always replay serially (migration state is cross-channel).
-  std::uint32_t sim_workers = 1;
+  // --- simulation speed tier -------------------------------------------
   /// Fraction of trace chunks each single-technology point simulates,
   /// in (0, 1].  1.0 (the default) = exhaustive.  Below 1, points run
   /// chunk-sampled simulation: rows carry scaled estimates plus
@@ -187,12 +181,8 @@ std::vector<SweepRow> run_sweep(std::span<const DesignPoint> points,
                                 const SweepOptions& options = {});
 
 /// Options for one single-point simulation — the unit of work the DSE
-/// query service schedules.  The sampling fields mirror SweepOptions
-/// (and, like there, sim_workers never changes results).
+/// query service schedules.  The sampling fields mirror SweepOptions.
 struct SimulateOptions {
-  /// Channel-parallel workers inside the simulation (bit-identical at
-  /// any count; hybrid points always replay serially).
-  std::uint32_t sim_workers = 1;
   /// Fraction of trace chunks to simulate, in (0, 1].  Below 1 the
   /// result carries scaled estimates plus confidence intervals
   /// (MetricsRow::metric_ci); hybrid points are always exhaustive and

@@ -183,7 +183,6 @@ void simulate_point_into(const DesignPoint& point,
   } else {
     memsim::MemoryConfig config = point.single_config();
     config.sim.deadline = options.deadline;
-    config.sim.num_workers = options.sim_workers;
     row.metrics = feed.predecoded != nullptr
                       ? memsim::MemorySystem::simulate(config, *feed.predecoded)
                       : memsim::MemorySystem::simulate(config, feed.raw);
@@ -269,7 +268,6 @@ MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
                   << options.sample_fraction);
   GMD_REQUIRE(options.sampling_chunk_events > 0,
               "sampling_chunk_events must be positive");
-  GMD_REQUIRE(options.sim_workers >= 1, "sim_workers must be >= 1");
   validate(point);
 
   const bool sampling =
@@ -371,7 +369,6 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
                   << options.sample_fraction);
   GMD_REQUIRE(options.sampling_chunk_events > 0,
               "sampling_chunk_events must be positive");
-  GMD_REQUIRE(options.sim_workers >= 1, "sim_workers must be >= 1");
   const bool sampling = options.sample_fraction < 1.0;
   std::vector<SweepRow> rows(points.size());
 
@@ -451,17 +448,7 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     }
   }
 
-  // Channel-parallel points multiply threads, so the outer point pool
-  // shrinks by the same factor to keep total concurrency near the
-  // requested level (oversubscribing the cores would serialize both
-  // tiers).
-  std::size_t pool_threads = options.num_threads;
-  if (options.sim_workers > 1) {
-    if (pool_threads == 0) pool_threads = std::thread::hardware_concurrency();
-    if (pool_threads == 0) pool_threads = 1;
-    pool_threads = std::max<std::size_t>(1, pool_threads / options.sim_workers);
-  }
-  ThreadPool pool(pool_threads);
+  ThreadPool pool(options.num_threads);
 
   // Group points by decode geometry.  Decode (and, for static hybrids,
   // routing) depends only on the mapping geometry and clocks, so all
@@ -539,12 +526,6 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
         group.nvm_side = std::move(sides.second);
       } else {
         group.trace = access.predecode(plans[group.rep].single);
-        if (options.sim_workers > 1) {
-          // Build the per-channel partition here, inside the predecode
-          // stage, so the first batch of channel-parallel points doesn't
-          // all pile onto one lazy call_once.
-          group.trace.partition_by_channel(plans[group.rep].single.channels);
-        }
       }
     });
   }
@@ -556,7 +537,6 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
   const auto run_point = [&](std::size_t i, Deadline* deadline,
                              SweepRow& row) {
     SimulateOptions sopt;
-    sopt.sim_workers = options.sim_workers;
     sopt.sample_fraction = options.sample_fraction;
     sopt.sample_seed = options.sample_seed;
     sopt.sample_warmup_chunks = options.sample_warmup_chunks;

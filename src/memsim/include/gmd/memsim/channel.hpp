@@ -118,14 +118,6 @@ class Channel {
   const ChannelStats& stats() const { return stats_; }
   const std::vector<BankState>& banks() const { return banks_; }
 
-  /// Re-points the cooperative deadline this channel's service loops
-  /// poll (the channel owns its config copy, so the setting is per
-  /// channel).  The channel-parallel replay points each worker's
-  /// channels at that worker's own child token — Deadline::check() is
-  /// single-threaded, so workers must not share one.  nullptr disables
-  /// polling; the token must outlive the channel's last service call.
-  void set_deadline(Deadline* deadline) { config_.sim.deadline = deadline; }
-
   /// Per-rank activation-rate state (tRRD spacing, tFAW window).
   struct RankState {
     std::uint64_t last_activate = 0;

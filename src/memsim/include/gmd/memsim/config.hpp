@@ -80,18 +80,6 @@ struct MemSimOptions {
   /// running on — this is how the sweep runner bounds a stuck point.
   /// Non-owning; must outlive the simulation.  nullptr = never cancel.
   Deadline* deadline = nullptr;
-
-  /// Worker threads for channel-parallel trace replay in the static
-  /// MemorySystem::simulate() entry points.  Channels are distributed
-  /// round-robin over min(num_workers, channels) workers, each replaying
-  /// its channels' pre-partitioned request streams independently.  Every
-  /// channel's state is self-contained and the final merge walks
-  /// channels in index order, so the result is bit-identical to the
-  /// serial fast path at any worker count.  reference_mode forces the
-  /// serial path (the seed loop stays serial); 0 or 1 means serial.
-  /// Incremental use (enqueue_event / enqueue_predecoded members) is
-  /// always serial.
-  std::uint32_t num_workers = 1;
 };
 
 /// One memory system (a single technology).  Hybrid systems combine two.

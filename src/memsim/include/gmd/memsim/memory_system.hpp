@@ -55,18 +55,13 @@ class MemorySystem {
   /// frontier instead (see begin_measurement()).
   MemoryMetrics finish();
 
-  /// One-shot convenience: simulate a whole trace.  With
-  /// config.sim.num_workers > 1 the trace is predecoded internally and
-  /// replayed channel-parallel (bit-identical to the serial run).
+  /// One-shot convenience: simulate a whole trace.
   static MemoryMetrics simulate(const MemoryConfig& config,
                                 std::span<const cpusim::MemoryEvent> trace);
 
   /// One-shot fast path over a shared predecoded trace — the sweep's
   /// hot loop, which skips per-config word splitting and address
-  /// decoding entirely.  With config.sim.num_workers > 1 the replay is
-  /// channel-parallel over trace.partition_by_channel(); results are
-  /// bit-identical to serial replay at any worker count (reference_mode
-  /// forces serial).
+  /// decoding entirely.
   static MemoryMetrics simulate(const MemoryConfig& config,
                                 const PredecodedTrace& trace);
 
@@ -77,14 +72,6 @@ class MemorySystem {
 
  private:
   void enqueue_word(std::uint64_t cycle, std::uint64_t address, bool is_write);
-
-  /// Channel-parallel replay: `workers` threads own disjoint channel
-  /// sets (round-robin by channel index), each enqueueing and draining
-  /// its channels from the trace's per-channel partition under its own
-  /// child Deadline.  Per-worker endurance counters merge in worker
-  /// order after the join.  Leaves every channel drained, so the
-  /// following finish() only assembles metrics.
-  void replay_parallel(const PredecodedTrace& trace, std::uint32_t workers);
 
   MemoryConfig config_;
   AddressDecoder decoder_;

@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,17 +23,6 @@
 #include "gmd/memsim/config.hpp"
 
 namespace gmd::memsim {
-
-/// One channel's share of a partitioned PredecodedTrace: that channel's
-/// requests and 64B endurance line indexes, contiguous and in original
-/// arrival order.  Replaying slice c against channel c feeds it exactly
-/// the subsequence the serial replay would have — the basis of the
-/// channel-parallel path's bit-identity.
-struct ChannelSlice {
-  std::vector<Request> request;
-  std::vector<std::uint64_t> line;
-  std::size_t size() const { return request.size(); }
-};
 
 /// Ready-to-enqueue request stream, one entry per word-granular
 /// request, in arrival order.  Replay hands each Request straight to
@@ -78,37 +65,10 @@ struct PredecodedTrace {
                                const EventChunkSource& source,
                                std::size_t size_hint = 0);
 
-  /// Number of requests routed to each of `num_channels` channels (one
-  /// pass over the trace; every stored channel index must be below
-  /// `num_channels`).
-  std::vector<std::size_t> channel_event_counts(
-      std::uint32_t num_channels) const;
-
-  /// Per-channel partition of the trace, built on first use and cached
-  /// on the shared heap object, so one build serves the parallel replay
-  /// of every sweep point sharing this trace (thread-safe: concurrent
-  /// callers synchronize on the build).  `num_channels` must match the
-  /// decode geometry the trace was built for and must be the same on
-  /// every call.
-  const std::vector<ChannelSlice>& partition_by_channel(
-      std::uint32_t num_channels) const;
-
   /// The fields the predecode depends on, serialized: mapping scheme,
   /// geometry, access size, and the two clocks.  Configs with equal
   /// keys can share one predecoded trace.
   static std::string key(const MemoryConfig& config);
-
- private:
-  /// Heap-stable lazy partition cache: the struct stays movable (moves
-  /// carry the shared_ptr) and copies share the already-built slices.
-  struct PartitionCache {
-    std::once_flag once;
-    std::vector<ChannelSlice> slices;
-    std::uint32_t num_channels = 0;
-    std::size_t built_size = 0;  ///< Trace size at build; detects staleness.
-  };
-  std::shared_ptr<PartitionCache> partition_ =
-      std::make_shared<PartitionCache>();
 };
 
 }  // namespace gmd::memsim

@@ -1,26 +1,10 @@
 #include "gmd/memsim/memory_system.hpp"
 
 #include <algorithm>
-#include <exception>
-#include <memory>
-#include <thread>
 
-#include "gmd/common/deadline.hpp"
 #include "gmd/common/error.hpp"
 
 namespace gmd::memsim {
-
-namespace {
-
-/// Worker count the static simulate() entries actually use: capped at
-/// the channel count (a worker without channels is pure overhead) and
-/// forced serial under reference_mode.
-std::uint32_t parallel_workers(const MemoryConfig& config) {
-  if (config.sim.reference_mode) return 1;
-  return std::min(config.sim.num_workers, config.channels);
-}
-
-}  // namespace
 
 MemorySystem::MemorySystem(const MemoryConfig& config)
     : config_(config), decoder_(config) {
@@ -257,76 +241,8 @@ MemoryMetrics MemorySystem::finish() {
   return m;
 }
 
-void MemorySystem::replay_parallel(const PredecodedTrace& trace,
-                                   std::uint32_t workers) {
-  GMD_REQUIRE(!finished_, "replay_parallel after finish()");
-  GMD_REQUIRE(trace.config_key == PredecodedTrace::key(config_),
-              "predecoded trace was built for a different decode geometry ('"
-                  << trace.config_key << "' vs '"
-                  << PredecodedTrace::key(config_) << "')");
-  GMD_ASSERT(workers >= 2 && workers <= config_.channels,
-             "replay_parallel worker count out of range");
-  const std::vector<ChannelSlice>& slices =
-      trace.partition_by_channel(config_.channels);
-
-  // Each worker polls the caller's deadline through its own budget-less
-  // child token: Deadline::check() is single-threaded, the parent's
-  // cancelled()/expired_chain() are not.
-  Deadline* const parent = config_.sim.deadline;
-  std::vector<std::unique_ptr<Deadline>> tokens(workers);
-  if (parent != nullptr) {
-    for (auto& token : tokens) token = std::make_unique<Deadline>(parent);
-  }
-  std::vector<FlatCounter> worker_lines(workers);
-  std::vector<std::exception_ptr> errors(workers);
-
-  const auto run_worker = [&](std::uint32_t w) noexcept {
-    try {
-      Deadline* const deadline = tokens[w].get();
-      FlatCounter& lines = worker_lines[w];
-      for (std::uint32_t c = w; c < config_.channels; c += workers) {
-        Channel& chan = channels_[c];
-        chan.set_deadline(deadline);
-        const ChannelSlice& slice = slices[c];
-        const std::size_t n = slice.size();
-        for (std::size_t i = 0; i < n; ++i) {
-          // The channel only polls on queue-full back-pressure, which a
-          // short or bursty slice may never hit — poll here too so a
-          // point_wall_budget cancellation lands promptly.
-          if (deadline != nullptr && (i & 0xFFFu) == 0) deadline->check();
-          const Request& request = slice.request[i];
-          chan.enqueue_trusted(request);
-          if (request.is_write) lines.bump(slice.line[i]);
-        }
-        chan.drain();
-      }
-    } catch (...) {
-      errors[w] = std::current_exception();
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::uint32_t w = 1; w < workers; ++w) threads.emplace_back(run_worker, w);
-  run_worker(0);
-  for (std::thread& thread : threads) thread.join();
-
-  // Re-point the channels at the caller's token before anything can
-  // throw — the worker tokens die with this frame.
-  for (Channel& chan : channels_) chan.set_deadline(parent);
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  // Deterministic merge order (worker 0 first); max/size would come out
-  // identical under any order regardless.
-  for (const FlatCounter& lines : worker_lines) line_writes_.merge(lines);
-}
-
 MemoryMetrics MemorySystem::simulate(
     const MemoryConfig& config, std::span<const cpusim::MemoryEvent> trace) {
-  if (parallel_workers(config) > 1) {
-    return simulate(config, PredecodedTrace::build(config, trace));
-  }
   MemorySystem system(config);
   for (const auto& event : trace) system.enqueue_event(event);
   return system.finish();
@@ -335,12 +251,7 @@ MemoryMetrics MemorySystem::simulate(
 MemoryMetrics MemorySystem::simulate(const MemoryConfig& config,
                                      const PredecodedTrace& trace) {
   MemorySystem system(config);
-  const std::uint32_t workers = parallel_workers(config);
-  if (workers > 1) {
-    system.replay_parallel(trace, workers);
-  } else {
-    system.enqueue_predecoded(trace);
-  }
+  system.enqueue_predecoded(trace);
   return system.finish();
 }
 

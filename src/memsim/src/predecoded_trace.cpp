@@ -75,51 +75,6 @@ PredecodedTrace PredecodedTrace::build(const MemoryConfig& config,
   return out;
 }
 
-std::vector<std::size_t> PredecodedTrace::channel_event_counts(
-    std::uint32_t num_channels) const {
-  std::vector<std::size_t> counts(num_channels, 0);
-  for (const std::uint32_t c : channel) {
-    GMD_REQUIRE(c < num_channels,
-                "trace channel index " << c << " out of range (trace built "
-                                          "for more channels than "
-                                       << num_channels << "?)");
-    ++counts[c];
-  }
-  return counts;
-}
-
-const std::vector<ChannelSlice>& PredecodedTrace::partition_by_channel(
-    std::uint32_t num_channels) const {
-  GMD_REQUIRE(num_channels > 0, "partition_by_channel needs channels > 0");
-  PartitionCache& cache = *partition_;
-  std::call_once(cache.once, [&] {
-    const std::vector<std::size_t> counts = channel_event_counts(num_channels);
-    cache.num_channels = num_channels;
-    cache.built_size = size();
-    cache.slices.resize(num_channels);
-    for (std::uint32_t c = 0; c < num_channels; ++c) {
-      cache.slices[c].request.reserve(counts[c]);
-      cache.slices[c].line.reserve(counts[c]);
-    }
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      ChannelSlice& slice = cache.slices[channel[i]];
-      slice.request.push_back(request[i]);
-      slice.line.push_back(line[i]);
-    }
-    std::size_t total = 0;
-    for (const ChannelSlice& slice : cache.slices) total += slice.size();
-    GMD_ASSERT(total == size(), "channel partition lost requests ("
-                                    << total << " of " << size() << ")");
-  });
-  GMD_REQUIRE(cache.num_channels == num_channels,
-              "partition_by_channel channel count changed ("
-                  << cache.num_channels << " -> " << num_channels << ")");
-  GMD_REQUIRE(cache.built_size == size(),
-              "trace grew after partition_by_channel (partition is stale)");
-  return cache.slices;
-}
-
 std::string PredecodedTrace::key(const MemoryConfig& config) {
   std::ostringstream os;
   os << config.address_mapping << "|ch" << config.channels << "|rk"

@@ -191,8 +191,8 @@ PipelineResult run_pipeline(const PipelineOptions& options) {
     h.mix(store.content_checksum());
     h.mix(dse::points_checksum(points));
     // The sampling geometry changes the labels, so it is part of the
-    // stage identity; sim_workers is not (channel-parallel replay is
-    // bit-identical to serial).
+    // stage identity; thread and process counts are not (parallel
+    // sweeps are bit-identical to serial ones).
     h.mix_double(options.sweep.sample_fraction);
     if (options.sweep.sample_fraction < 1.0) {
       h.mix(options.sweep.sample_seed);

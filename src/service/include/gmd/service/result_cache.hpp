@@ -5,7 +5,7 @@
 /// (trace content checksum, canonical DesignPoint bytes, sampling
 /// geometry); values are the complete MetricsRow, shared so a cache hit
 /// is an O(1) pointer copy and bit-identical to the fresh simulation
-/// that populated it.  Fields that never change results (sim_workers,
+/// that populated it.  Fields that never change results (the deadline,
 /// warm feeds) are excluded from the key — mirroring the sweep
 /// checkpoint identity — and the sampling geometry is mixed in only
 /// when sampling is actually on, so an exhaustive request hits the same

@@ -54,8 +54,6 @@ struct ServiceOptions {
   std::size_t cache_shards = 8;
   /// Applied when a request carries no "deadline_ms"; zero = unlimited.
   std::chrono::milliseconds default_deadline{0};
-  /// Channel-parallel workers inside each simulation (identity-neutral).
-  std::uint32_t sim_workers = 1;
   /// Minimum delay between re-probe attempts of one quarantined
   /// resource (see TraceLibrary/ModelRegistry).  Zero probes on every
   /// lookup — tests only.

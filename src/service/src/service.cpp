@@ -282,7 +282,6 @@ Json Service::run_simulate(const Request& request, Deadline* deadline) {
   const std::string trace_name = request.body.at("trace").as_string();
 
   dse::SimulateOptions sim;
-  sim.sim_workers = options_.sim_workers;
   sim.deadline = deadline;
   const Json& sampling = request.body.at("sampling");
   if (!sampling.is_null()) {

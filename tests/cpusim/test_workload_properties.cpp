@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "gmd/cpusim/workloads.hpp"
@@ -12,7 +13,9 @@
 namespace gmd::cpusim {
 namespace {
 
-using ParamTuple = std::tuple<const char*, std::uint64_t>;
+// The kernel name is a std::string so gtest prints its text, not the
+// per-process address of a literal, into the registered test name.
+using ParamTuple = std::tuple<std::string, std::uint64_t>;
 
 class WorkloadTraceProperty : public testing::TestWithParam<ParamTuple> {
  protected:
@@ -82,7 +85,7 @@ INSTANTIATE_TEST_SUITE_P(
                                      "sssp", "triangles"),
                      testing::Values(1ull, 7ull, 42ull)),
     [](const testing::TestParamInfo<ParamTuple>& info) {
-      return std::string(std::get<0>(info.param)) + "_seed" +
+      return std::get<0>(info.param) + "_seed" +
              std::to_string(std::get<1>(info.param));
     });
 

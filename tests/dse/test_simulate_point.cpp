@@ -172,22 +172,6 @@ TEST_F(SimulatePointStore, SampledMatchesSampledSweep) {
   }
 }
 
-// sim_workers is identity-neutral for the single-point API, exactly as
-// for sweeps.
-TEST_F(SimulatePointStore, SimWorkersNeutral) {
-  DesignPoint point;
-  point.kind = MemoryKind::kDram;
-  point.cpu_freq_mhz = 5000;
-  point.ctrl_freq_mhz = 1250;
-  point.channels = 4;
-
-  const MetricsRow serial = simulate_point(*store_, point);
-  SimulateOptions parallel;
-  parallel.sim_workers = 4;
-  expect_metrics_identical(simulate_point(*store_, point, parallel).metrics,
-                           serial.metrics);
-}
-
 TEST_F(SimulatePointStore, ValidatesPointAndOptions) {
   DesignPoint bad;
   bad.channels = 0;
@@ -197,9 +181,6 @@ TEST_F(SimulatePointStore, ValidatesPointAndOptions) {
   SimulateOptions bad_fraction;
   bad_fraction.sample_fraction = 0.0;
   EXPECT_THROW(simulate_point(*store_, ok, bad_fraction), Error);
-  SimulateOptions bad_workers;
-  bad_workers.sim_workers = 0;
-  EXPECT_THROW(simulate_point(*store_, ok, bad_workers), Error);
 }
 
 TEST_F(SimulatePointStore, HonorsCancellation) {

@@ -1,9 +1,8 @@
-/// Sweep-level speed tiers: channel-parallel simulation must be
-/// bit-identical to the serial sweep across the full paper design grid
-/// at several worker counts (hybrids fall back to serial automatically),
-/// and chunk-sampled sweeps must carry per-row confidence intervals
-/// through rows, CSV tables, and the resume journal — with the sampling
-/// geometry part of the journal identity.
+/// Sweep-level speed tiers: the shared predecoded-trace replay must be
+/// bit-identical to the raw event path, and chunk-sampled sweeps must
+/// carry per-row confidence intervals through rows, CSV tables, and the
+/// resume journal — with the sampling geometry part of the journal
+/// identity.
 
 #include <gtest/gtest.h>
 
@@ -74,41 +73,19 @@ void expect_rows_identical(const SweepRow& a, const SweepRow& b) {
   EXPECT_EQ(a.metrics.unique_lines_written, b.metrics.unique_lines_written);
 }
 
-// Channel-parallel equivalence ----------------------------------------
+// Shared predecode -----------------------------------------------------
 
-/// The acceptance bar: every config of the paper's 416-point grid —
-/// DRAM, NVM, and hybrid — produces bit-identical metrics at any
-/// sim_workers count (hybrids ignore the setting and stay serial).
-TEST(SweepSimWorkers, PaperGridBitIdenticalAtAllWorkerCounts) {
-  const auto trace = bfs_trace();
-  const auto points = paper_design_space();
-  SweepOptions serial;
-  serial.num_threads = 2;
-  const auto baseline = run_sweep(points, trace, serial);
-  ASSERT_EQ(baseline.size(), points.size());
-  for (const std::uint32_t workers : {2u, 4u}) {
-    SweepOptions options;
-    options.num_threads = 2;
-    options.sim_workers = workers;
-    const auto rows = run_sweep(points, trace, options);
-    ASSERT_EQ(rows.size(), baseline.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      expect_rows_identical(rows[i], baseline[i]);
-    }
-  }
-}
-
-TEST(SweepSimWorkers, SharedPredecodeOffStillIdentical) {
+TEST(SweepSharedPredecode, OffStillIdentical) {
   const auto trace = bfs_trace(96);
   const auto points = reduced_design_space();
-  SweepOptions serial;
-  serial.num_threads = 2;
-  const auto baseline = run_sweep(points, trace, serial);
+  SweepOptions shared;
+  shared.num_threads = 2;
+  const auto baseline = run_sweep(points, trace, shared);
   SweepOptions options;
   options.num_threads = 2;
-  options.sim_workers = 4;
   options.share_predecoded_traces = false;  // raw event path per point
   const auto rows = run_sweep(points, trace, options);
+  ASSERT_EQ(rows.size(), baseline.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
     expect_rows_identical(rows[i], baseline[i]);
   }
@@ -285,9 +262,6 @@ TEST(SampledSweep, RejectsBadOptions) {
   EXPECT_THROW(run_sweep(points, trace, options), gmd::Error);
   options.sample_fraction = 0.5;
   options.sampling_chunk_events = 0;
-  EXPECT_THROW(run_sweep(points, trace, options), gmd::Error);
-  options.sampling_chunk_events = 1000;
-  options.sim_workers = 0;
   EXPECT_THROW(run_sweep(points, trace, options), gmd::Error);
 }
 

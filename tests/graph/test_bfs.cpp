@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "gmd/common/error.hpp"
@@ -36,11 +37,20 @@ BfsResult run_dir_opt(const CsrGraph& g, VertexId s) {
   return bfs_direction_optimizing(g, s);
 }
 
-class BfsVariant : public testing::TestWithParam<BfsFn> {};
+// Named so the printed parameter, and with it the registered test name,
+// is the variant name rather than a per-process code address.
+struct BfsCase {
+  const char* name;
+  BfsFn run;
+};
+
+void PrintTo(const BfsCase& c, std::ostream* os) { *os << c.name; }
+
+class BfsVariant : public testing::TestWithParam<BfsCase> {};
 
 TEST_P(BfsVariant, PathGraphDepths) {
   const CsrGraph g = path4();
-  const BfsResult r = GetParam()(g, 0);
+  const BfsResult r = GetParam().run(g, 0);
   EXPECT_EQ(r.depth[0], 0u);
   EXPECT_EQ(r.depth[1], 1u);
   EXPECT_EQ(r.depth[2], 2u);
@@ -50,7 +60,7 @@ TEST_P(BfsVariant, PathGraphDepths) {
 
 TEST_P(BfsVariant, SourceIsItsOwnParent) {
   const CsrGraph g = path4();
-  const BfsResult r = GetParam()(g, 2);
+  const BfsResult r = GetParam().run(g, 2);
   EXPECT_EQ(r.parent[2], 2u);
   EXPECT_EQ(r.depth[2], 0u);
 }
@@ -61,7 +71,7 @@ TEST_P(BfsVariant, DisconnectedComponentUnreached) {
   list.edges = {{0, 1}, {3, 4}};
   symmetrize(list);
   const CsrGraph g = CsrGraph::from_edge_list(list);
-  const BfsResult r = GetParam()(g, 0);
+  const BfsResult r = GetParam().run(g, 0);
   EXPECT_TRUE(r.reached(1));
   EXPECT_FALSE(r.reached(2));
   EXPECT_FALSE(r.reached(3));
@@ -71,7 +81,7 @@ TEST_P(BfsVariant, DisconnectedComponentUnreached) {
 
 TEST_P(BfsVariant, ValidatesOnPaperScaleGraph) {
   const CsrGraph g = paper_graph();
-  const BfsResult r = GetParam()(g, 17);
+  const BfsResult r = GetParam().run(g, 17);
   std::string reason;
   EXPECT_TRUE(validate_bfs(g, r, &reason)) << reason;
   // Dense uniform random graph: everything reachable.
@@ -82,24 +92,19 @@ TEST_P(BfsVariant, SingletonGraph) {
   EdgeList list;
   list.num_vertices = 1;
   const CsrGraph g = CsrGraph::from_edge_list(list);
-  const BfsResult r = GetParam()(g, 0);
+  const BfsResult r = GetParam().run(g, 0);
   EXPECT_EQ(r.vertices_visited, 1u);
   EXPECT_EQ(r.depth[0], 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllVariants, BfsVariant,
-                         testing::Values(&bfs_top_down, &bfs_bottom_up,
-                                         &run_dir_opt),
-                         [](const testing::TestParamInfo<BfsFn>& info) {
-                           switch (info.index) {
-                             case 0:
-                               return std::string("TopDown");
-                             case 1:
-                               return std::string("BottomUp");
-                             default:
-                               return std::string("DirectionOptimizing");
-                           }
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    AllVariants, BfsVariant,
+    testing::Values(BfsCase{"TopDown", &bfs_top_down},
+                    BfsCase{"BottomUp", &bfs_bottom_up},
+                    BfsCase{"DirectionOptimizing", &run_dir_opt}),
+    [](const testing::TestParamInfo<BfsCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Bfs, VariantsAgreeOnDepths) {
   const CsrGraph g = paper_graph(3);

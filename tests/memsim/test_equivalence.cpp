@@ -3,12 +3,16 @@
 /// (MemSimOptions::reference_mode) on every policy combination, and the
 /// shared predecoded-trace replay must be bit-identical to the raw
 /// event path.  Any divergence here means the fast path changed
-/// simulated behaviour, not just speed.
+/// simulated behaviour, not just speed.  The replay's cooperative
+/// deadline polling is checked here too: a live token must not perturb
+/// a single bit.
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
+#include "gmd/common/deadline.hpp"
+#include "gmd/common/error.hpp"
 #include "gmd/memsim/hybrid.hpp"
 #include "gmd/memsim/memory_system.hpp"
 
@@ -217,6 +221,47 @@ TEST(HybridEquivalence, UnevenSplitPredecoded) {
   const auto [dram_side, nvm_side] = predecode_hybrid(config, trace);
   expect_identical(HybridMemory::simulate(config, dram_side, nvm_side),
                    HybridMemory::simulate(config, trace));
+}
+
+// Deadlines in the predecoded replay ---------------------------------
+
+TEST(ReplayDeadline, CancellationFiresPromptly) {
+  MemoryConfig config = make_dram_config(4, 666, 3000);
+  const auto predecoded = PredecodedTrace::build(config, mixed_trace(4000));
+  Deadline deadline;  // budget-less: only cancel() fires
+  deadline.cancel();
+  config.sim.deadline = &deadline;
+  try {
+    MemorySystem::simulate(config, predecoded);
+    FAIL() << "cancelled simulation must not complete";
+  } catch (const gmd::Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kCancelled);
+  }
+}
+
+TEST(ReplayDeadline, ExpiredBudgetFires) {
+  MemoryConfig config = make_dram_config(4, 666, 3000);
+  // Deep queue: back-pressure polls are rare, so the expiry must still
+  // be caught before the replay completes (at the latest by drain).
+  config.queue_depth = 48;
+  const auto predecoded = PredecodedTrace::build(config, mixed_trace(20000));
+  Deadline deadline(std::chrono::nanoseconds(0));  // already expired
+  config.sim.deadline = &deadline;
+  try {
+    MemorySystem::simulate(config, predecoded);
+    FAIL() << "expired simulation must not complete";
+  } catch (const gmd::Error& error) {
+    EXPECT_EQ(error.code(), ErrorCode::kTimeout);
+  }
+}
+
+TEST(ReplayDeadline, UncancelledTokenDoesNotPerturbResults) {
+  MemoryConfig config = make_dram_config(4, 666, 3000);
+  const auto predecoded = PredecodedTrace::build(config, mixed_trace());
+  const MemoryMetrics baseline = MemorySystem::simulate(config, predecoded);
+  Deadline deadline;
+  config.sim.deadline = &deadline;
+  expect_identical(MemorySystem::simulate(config, predecoded), baseline);
 }
 
 }  // namespace

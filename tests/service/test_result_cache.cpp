@@ -67,12 +67,6 @@ TEST(SimulateCacheKey, IdentityNeutralFieldsDoNotFork) {
   dse::SimulateOptions options;
   const std::uint64_t base = simulate_cache_key(1, point, options);
 
-  // sim_workers never changes results (bit-identical replay), so it
-  // must not fragment the cache.
-  dse::SimulateOptions workers = options;
-  workers.sim_workers = 8;
-  EXPECT_EQ(simulate_cache_key(1, point, workers), base);
-
   // Dormant sampling geometry (exhaustive request) is identity-neutral,
   // mirroring the sweep journal.
   dse::SimulateOptions dormant = options;

@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
       .add_option("deadline-ms", "0",
                   "per-point wall budget in milliseconds (0: unlimited)")
       .add_option("checkpoint", "",
-                  "journal completed rows to this file (atomic rewrite)")
+                  "journal completed rows to this file (one append per row)")
       .add_flag("resume", "resume from an existing --checkpoint journal")
       .add_option("sample-fraction", "1.0",
                   "chunk-sampled sweep: fraction of trace chunks per point "

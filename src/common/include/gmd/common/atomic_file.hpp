@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file atomic_file.hpp
-/// Crash-safe file writes, shared by every artifact producer in the
-/// pipeline (sweep checkpoint journal, GMDT trace store, CSV datasets,
-/// serialized models, pipeline manifests).
+/// Crash-safe whole-file writes, shared by every artifact producer in
+/// the pipeline (GMDT trace store, CSV datasets, serialized models,
+/// distributed run meta, leases and task files).  Journals that grow one
+/// record at a time use gmd::RecordLog (record_log.hpp) instead.
 ///
 /// The protocol is the classic temp-then-rename: content is written to
 /// `<path>.tmp`, flushed and fsync'd, and the temp file is renamed over
@@ -86,6 +87,11 @@ std::size_t remove_stale_temp_files(const std::string& dir);
 /// generation).  Throws Error(kIo) on any failure other than the
 /// source disappearing.  Requires both paths on one filesystem.
 bool atomic_rename_claim(const std::string& from, const std::string& to);
+
+/// Best-effort fsync of the directory containing `path`, so a new or
+/// renamed directory entry is durable (it lives in the parent's data
+/// blocks).  No-op on non-POSIX builds.
+void sync_parent_dir(const std::string& path);
 
 /// Best-effort unlink; true when the file existed and was removed.
 /// Never throws — a missing file is the desired end state.

@@ -5,11 +5,15 @@
 /// (trace/point identity hashes) and the GMDT trace store (per-chunk
 /// payload checksums).  One implementation so the two subsystems can
 /// never drift: a journal keyed off a trace store header must agree
-/// with a journal keyed off the decoded events it describes.
+/// with a journal keyed off the decoded events it describes.  Also the
+/// one text codec for those hashes (to_hex16 / parse_hex16).
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <string_view>
 
 namespace gmd {
 
@@ -48,6 +52,31 @@ inline std::uint64_t fnv1a_bytes(const void* data, std::size_t size) {
   Fnv1a h;
   h.mix_bytes(data, size);
   return h.state;
+}
+
+/// A 64-bit hash as exactly 16 lowercase hex digits, zero-padded: the
+/// text form of every checksum and identity hash written to disk or to
+/// the service protocol.
+inline std::string to_hex16(std::uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string text(16, '0');
+  for (int i = 15; i >= 0; --i, value >>= 4) text[i] = kDigits[value & 0xFu];
+  return text;
+}
+
+/// Inverse of to_hex16: accepts exactly 16 lowercase hex digits and
+/// nothing else.  A shorter token is a truncation tear, not a smaller
+/// number, so it yields nullopt like any other malformed token.
+inline std::optional<std::uint64_t> parse_hex16(std::string_view text) {
+  if (text.size() != 16) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char c : text) {
+    const bool digit = c >= '0' && c <= '9';
+    if (!digit && (c < 'a' || c > 'f')) return std::nullopt;
+    value = value << 4 |
+            static_cast<std::uint64_t>(digit ? c - '0' : c - 'a' + 10);
+  }
+  return value;
 }
 
 }  // namespace gmd

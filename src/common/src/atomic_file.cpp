@@ -31,8 +31,8 @@ void sync_path(const std::string& path) {
 #endif
 }
 
-/// fsyncs the directory containing `path` so the rename itself is
-/// durable (a new directory entry lives in the parent's data blocks).
+}  // namespace
+
 void sync_parent_dir(const std::string& path) {
 #if defined(__unix__) || defined(__APPLE__)
   const std::filesystem::path parent =
@@ -42,8 +42,6 @@ void sync_parent_dir(const std::string& path) {
   (void)path;
 #endif
 }
-
-}  // namespace
 
 AtomicFileWriter::AtomicFileWriter(std::string path,
                                    std::ios::openmode extra_mode)

@@ -5,7 +5,10 @@
 /// interrupted labeled-data-generation run resumes where it stopped
 /// instead of re-simulating hours of finished points.
 ///
-/// File format (plain text, one record per line):
+/// The journal is a gmd::RecordLog (record_log.hpp): every line ends in
+/// its own FNV-1a checksum, each record is appended and fdatasync'd
+/// once, and a torn or corrupt tail is cut back to the last valid
+/// record.  Record payloads:
 ///
 ///   gmd-sweep-journal v1 trace=<16-hex> points=<16-hex> count=<n> [owner=<id>]
 ///   row <index> <attempts> <8 u64 fields> <9 double fields> <nepochs>
@@ -13,33 +16,28 @@
 ///       [ci <k> <lo hi doubles ...>]
 ///   fail <index> <attempts> <code> <outcome> [message...]
 ///
-/// The `ci` trailer is present only on rows of a chunk-sampled sweep
-/// (SweepRow::metric_ci); a sampled sweep also mixes its sampling
-/// parameters into the points= hash, so sampled and exhaustive journals
-/// can never resume each other.
+/// The first line is the log's identity header.  The `ci` trailer is
+/// present only on rows of a chunk-sampled sweep (SweepRow::metric_ci);
+/// a sampled sweep also mixes its sampling parameters into the points=
+/// hash, so sampled and exhaustive journals can never resume each other.
 ///
 /// The optional `owner=` header token namespaces per-worker journals in
-/// a distributed sweep run: every worker writes its own journal file
-/// (single writer per file, so the atomic-rewrite protocol needs no
-/// cross-process locking) and the supervisor merges them by point
-/// index.  `fail` records mark points that reached a terminal non-ok
-/// outcome — distributed workers persist them so the supervisor can
-/// tell "this point failed" from "this point was never run" and never
-/// re-issues a deterministically failing shard forever.  Single-process
-/// sweeps journal only ok rows (failures re-simulate on resume),
-/// exactly as before.
+/// a distributed sweep run: every worker appends to its own journal
+/// file (single writer per file, so no cross-process locking) and the
+/// supervisor merges them by point index, scanning read-only while the
+/// workers are still appending.  `fail` records mark points that
+/// reached a terminal non-ok outcome — distributed workers persist them
+/// so the supervisor can tell "this point failed" from "this point was
+/// never run" and never re-issues a deterministically failing shard
+/// forever.  Single-process sweeps journal only ok rows (failures
+/// re-simulate on resume).  A fail message may span lines; the log
+/// escapes it.
 ///
 /// The header hash pair is FNV-1a 64 over the trace events and over the
 /// design-point list; resume refuses a journal whose hashes or point
 /// count do not match the current invocation.  Doubles are stored as
 /// IEEE-754 bit patterns in hex, so resumed rows are bit-identical to
-/// the rows an uninterrupted sweep would have produced.  Every flush
-/// rewrites the whole journal through gmd::atomic_write_file (temp,
-/// fsync, rename) — a crash mid-write can never leave a torn journal,
-/// only the previous consistent one.  A zero-length journal, or one
-/// holding a single torn line (a crash during the very first append on
-/// a filesystem without atomic rename durability), loads as empty with
-/// a warning rather than a parse error.
+/// the rows an uninterrupted sweep would have produced.
 
 #include <cstddef>
 #include <cstdint>
@@ -49,6 +47,7 @@
 #include <utility>
 #include <vector>
 
+#include "gmd/common/record_log.hpp"
 #include "gmd/cpusim/memory_event.hpp"
 #include "gmd/dse/design_point.hpp"
 #include "gmd/dse/sweep.hpp"
@@ -98,9 +97,8 @@ JournalKey make_journal_key(std::span<const DesignPoint> points,
 /// distributed run resumable against the same identity rules.
 JournalKey sweep_identity(JournalKey base, const SweepOptions& options);
 
-/// Append-only journal of completed (ok) sweep rows.  Thread-safe:
-/// sweep workers record rows concurrently; each record is flushed with
-/// an atomic temp-then-rename rewrite.
+/// Append-only journal of terminal sweep rows.  Thread-safe: sweep
+/// workers record rows concurrently, one appended, synced record each.
 class SweepJournal {
  public:
   /// Binds the journal to `path` for the sweep identified by `key`.
@@ -111,48 +109,50 @@ class SweepJournal {
                std::string owner = {});
 
   /// Reads an existing journal at `path` and returns its terminal rows
-  /// as (point index, row) pairs — ok rows plus any `fail` records; the
-  /// loaded entries are retained so later flushes preserve them.  A
-  /// missing file yields an empty result; so do a zero-length file and
-  /// a single torn line (a crash during the first append), each with a
-  /// GMD_LOG_WARN.  Throws Error(kConfig) when the header does not
-  /// match `key` (wrong trace, wrong point list) and Error(kIo) on a
-  /// corrupted journal (valid header, rotten records); on throw no
-  /// entries are retained, so a caller that catches and continues
-  /// starts from scratch and the next record() rewrites a consistent
-  /// journal.
+  /// as (point index, row) pairs — ok rows plus any `fail` records —
+  /// then continues that journal: later records append after them.  A
+  /// torn or corrupt tail is truncated back to the last valid record
+  /// with a GMD_LOG_WARN, and a journal without a valid header loads
+  /// as empty the same way.  A missing file yields an empty result.
+  /// Throws Error(kConfig) when the header carries another identity
+  /// (wrong trace, wrong point list, not a sweep journal) and
+  /// Error(kIo) when a checksum-valid record does not parse.  On throw
+  /// the file is left as it was, and the first record() starts a fresh
+  /// journal for the current invocation.
   std::vector<std::pair<std::size_t, SweepRow>> load();
 
-  /// Records one terminal row and flushes the journal atomically.  An
-  /// ok row becomes a `row` record; a failed/timed-out row becomes a
-  /// `fail` record (outcome, code, and message survive the round trip).
+  /// Appends one terminal row and syncs it.  An ok row becomes a `row`
+  /// record; a failed/timed-out row becomes a `fail` record (outcome,
+  /// code, and message survive the round trip).  Unless load()
+  /// succeeded first, the first record() replaces any file at `path`
+  /// with a fresh journal.
   void record(std::size_t index, const SweepRow& row);
 
-  /// Number of rows currently journaled.
+  /// Number of rows in the journal: loaded plus recorded.
   std::size_t size() const;
 
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
   const std::string& owner() const { return owner_; }
 
  private:
-  void flush_locked();  ///< Rewrite temp file + rename; mutex_ held.
-
-  std::string path_;
   JournalKey key_;
   std::string owner_;
   mutable std::mutex mutex_;
-  std::vector<std::pair<std::size_t, SweepRow>> entries_;  // metrics + attempts
+  RecordLog log_;
 };
 
-/// Tolerant read of a (possibly foreign, possibly rotten) journal, for
-/// the distributed supervisor and workers scanning each other's files:
-/// a journal that fails to load for ANY reason — corrupt, truncated,
-/// written for a different sweep — yields no rows plus the typed
-/// failure message in `warning`, never a throw.  Lost rows are simply
-/// re-issued work.
+/// Tolerant read-only scan of a (possibly foreign, possibly rotten,
+/// possibly still growing) journal, for the distributed supervisor and
+/// workers scanning each other's files.  It never truncates and never
+/// throws.  An unterminated last record is an append in flight and is
+/// skipped silently.  A record that fails its checksum ends the rows
+/// with a message in `warning`; a journal that does not parse or was
+/// written for a different sweep yields no rows plus the typed failure
+/// message.  Lost rows are simply re-issued work.
 struct JournalScan {
   std::vector<std::pair<std::size_t, SweepRow>> rows;
-  std::string warning;  ///< Empty when the journal loaded cleanly.
+  /// Empty when the journal scanned cleanly; else "[<code>] <reason>".
+  std::string warning;
 };
 
 JournalScan scan_journal(const std::string& path, const JournalKey& key);

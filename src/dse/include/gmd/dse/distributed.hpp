@@ -21,7 +21,8 @@
 ///    liveness (content change on its own steady clock — see
 ///    gmd::StalenessTracker), expires stalled leases by re-issuing the
 ///    shard under the next generation, and every poll re-derives
-///    coverage by merging all worker journals.  When every point is
+///    coverage by merging all worker journals, read-only while the
+///    workers keep appending (scan_journal).  When every point is
 ///    covered it writes the merged sweep.csv (same writer as the
 ///    single-process pipeline) and the run.complete marker.
 ///
@@ -92,8 +93,9 @@ struct MergeResult {
   std::vector<std::optional<SweepRow>> rows;
   std::size_t covered = 0;
   std::size_t duplicates = 0;
-  /// One entry per journal that failed to load (corrupt, truncated,
-  /// foreign); its rows count as never-run and the work is re-issued.
+  /// One entry per journal with a corrupt record or that failed to
+  /// load (foreign, unparseable); rows it does not yield count as
+  /// never-run and the work is re-issued.
   std::vector<std::string> warnings;
 
   bool complete() const { return covered == rows.size(); }

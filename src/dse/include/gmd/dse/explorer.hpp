@@ -17,10 +17,17 @@
 ///   3. run_explorer — deterministic seed sample -> simulate via
 ///      run_sweep -> train -> stream-score -> acquire batch -> repeat
 ///      under a round/simulation budget.  With a run directory, every
-///      round's acquisition is journaled (atomic temp-then-rename)
-///      BEFORE its simulations run and completed rows land in a
-///      SweepJournal keyed by the space checksum, so a SIGKILL at any
-///      instant resumes to the bit-identical final result.
+///      round's acquisition is appended to `rounds.txt` BEFORE its
+///      simulations run and completed rows land in a SweepJournal
+///      keyed by the space checksum, so a SIGKILL at any instant
+///      resumes to the bit-identical final result.  `rounds.txt` is a
+///      gmd::RecordLog (record_log.hpp) with one checksummed record per
+///      round:
+///
+///        gmd-explorer-rounds v1 space=<16-hex> trace=<16-hex> opts=<16-hex>
+///        round <r> <count> <space index>...
+///
+///      A torn last round is cut off on resume and simply re-acquired.
 
 #include <cstddef>
 #include <cstdint>

@@ -151,16 +151,17 @@ struct SweepOptions {
   std::function<void(std::size_t, const SweepRow&)> row_sink;
 
   // --- checkpoint / resume ---------------------------------------------
-  /// When non-empty, completed rows are journaled here (atomic
-  /// temp-then-rename per record batch) so a killed sweep loses at most
-  /// the in-flight points.
+  /// When non-empty, completed rows are journaled here (one appended,
+  /// synced record per row) so a killed sweep loses at most the
+  /// in-flight points.
   std::string checkpoint_path;
   /// Load an existing journal at checkpoint_path and skip its completed
   /// points after verifying the header hash of (trace checksum, point
-  /// list).  A missing journal file simply starts fresh; so does an
-  /// unusable one (truncated, corrupted, or written for a different
-  /// trace/point list), with a typed warning — stale rows are never
-  /// silently reused and a bad journal never aborts the sweep.
+  /// list).  A missing journal file simply starts fresh.  A torn or
+  /// corrupt tail costs only the records it destroyed; a journal written
+  /// for a different trace/point list starts fresh.  Both warn with a
+  /// typed code — stale rows are never silently reused and a bad
+  /// journal never aborts the sweep.
   bool resume = false;
 };
 
@@ -228,6 +229,13 @@ struct MetricsRow {
 MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
                           const DesignPoint& point,
                           const SimulateOptions& options = {});
+
+/// Predecodes a GMDT store's events for `config`, streaming chunk by
+/// chunk off the mapping without materializing the event vector.  The
+/// one store-to-predecoded path: the sweep's shared groups,
+/// simulate_point and the service's trace library all build with it.
+memsim::PredecodedTrace predecode(const memsim::MemoryConfig& config,
+                                  const tracestore::TraceStoreReader& store);
 
 /// Simulates a single point over an in-memory trace (exhaustive,
 /// serial; same code path as above with a raw-span feed).

@@ -1,67 +1,179 @@
 #include "gmd/dse/checkpoint.hpp"
 
 #include <bit>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <iterator>
+#include <optional>
 #include <sstream>
 
-#include "gmd/common/atomic_file.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/common/hash.hpp"
-#include "gmd/common/logging.hpp"
 #include "gmd/tracestore/reader.hpp"
 
 namespace gmd::dse {
 
 namespace {
 
-constexpr std::string_view kMagic = "gmd-sweep-journal";
-constexpr std::string_view kVersion = "v1";
-
-std::string hex16(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
+/// The header tokens that must match for a journal to resume `key`.
+std::string identity(const JournalKey& key) {
+  std::ostringstream out;
+  out << "gmd-sweep-journal v1 trace=" << to_hex16(key.trace_hash)
+      << " points=" << to_hex16(key.points_hash) << " count=" << key.num_points;
+  return out.str();
 }
 
-/// Doubles are journaled as IEEE-754 bit patterns so parsing them back
-/// is exact — resumed rows must be bit-identical to fresh ones.
-void put_double(std::ostream& os, double value) {
-  os << ' ' << hex16(std::bit_cast<std::uint64_t>(value));
-}
+/// Record writer: integers in decimal, doubles as their IEEE-754 bit
+/// pattern in hex so parsing them back is exact — resumed rows must be
+/// bit-identical to fresh ones.
+struct Writer {
+  std::ostringstream out;
 
-/// Token-stream reader with typed-error reporting for corrupt journals.
-class Reader {
- public:
-  explicit Reader(std::istringstream& is, const std::string& path)
-      : is_(is), path_(path) {}
-
-  std::uint64_t u64() {
-    std::uint64_t value = 0;
-    GMD_REQUIRE_AS(ErrorCode::kIo, static_cast<bool>(is_ >> value),
-                   "corrupt sweep journal '" << path_ << "'");
-    return value;
+  void num(std::uint64_t value) { out << ' ' << value; }
+  void real(double value) {
+    out << ' ' << to_hex16(std::bit_cast<std::uint64_t>(value));
   }
-  std::uint64_t hex_u64() {
-    std::string token;
-    GMD_REQUIRE_AS(ErrorCode::kIo, static_cast<bool>(is_ >> token),
-                   "corrupt sweep journal '" << path_ << "'");
-    std::uint64_t value = 0;
-    const int got = std::sscanf(token.c_str(), "%llx",
-                                reinterpret_cast<unsigned long long*>(&value));
-    GMD_REQUIRE_AS(ErrorCode::kIo, got == 1,
-                   "corrupt sweep journal '" << path_ << "': bad hex token '"
-                                             << token << "'");
-    return value;
+  template <typename List>
+  void count(const List& list) {
+    num(list.size());
   }
-  double f64() { return std::bit_cast<double>(hex_u64()); }
-
- private:
-  std::istringstream& is_;
-  const std::string& path_;
+  template <typename List>
+  void trailer(const List& list) {
+    if (list.empty()) return;
+    out << " ci";
+    count(list);
+  }
 };
+
+/// The reading mirror of Writer; throws Error(kIo) on a bad token.
+struct Reader {
+  std::istringstream in;
+  const std::string& path;
+
+  template <typename T>
+  void num(T& value) {
+    std::uint64_t parsed = 0;
+    GMD_REQUIRE_AS(ErrorCode::kIo, static_cast<bool>(in >> parsed),
+                   "corrupt sweep journal '" << path << "'");
+    value = static_cast<T>(parsed);
+  }
+  void real(double& value) {
+    std::string token;
+    in >> token;
+    const auto bits = parse_hex16(token);
+    GMD_REQUIRE_AS(ErrorCode::kIo, bits.has_value(),
+                   "corrupt sweep journal '" << path << "': bad hex token '"
+                                             << token << "'");
+    value = std::bit_cast<double>(*bits);
+  }
+  template <typename List>
+  void count(List& list) {
+    std::size_t size = 0;
+    num(size);
+    list.resize(size);
+  }
+  template <typename List>
+  void trailer(List& list) {
+    std::string tag;
+    if (!(in >> tag)) return;
+    GMD_REQUIRE_AS(ErrorCode::kIo, tag == "ci",
+                   "corrupt sweep journal '" << path << "': unexpected '"
+                                             << tag << "' trailer");
+    count(list);
+  }
+};
+
+/// An ok row's fields after its index and attempts, in record order: the
+/// one field list behind both encode() (Io = Writer) and decode()
+/// (Io = Reader).
+template <typename Io, typename Row>
+void metric_fields(Io& io, Row& row) {
+  auto& m = row.metrics;
+  io.num(m.total_reads);
+  io.num(m.total_writes);
+  io.num(m.channels);
+  io.num(m.banks_total);
+  io.num(m.row_hits);
+  io.num(m.row_misses);
+  io.num(m.max_line_writes);
+  io.num(m.unique_lines_written);
+  io.real(m.avg_power_per_channel_w);
+  io.real(m.avg_bandwidth_per_bank_mbs);
+  io.real(m.avg_latency_cycles);
+  io.real(m.avg_total_latency_cycles);
+  io.real(m.avg_reads_per_channel);
+  io.real(m.avg_writes_per_channel);
+  io.real(m.execution_seconds);
+  io.real(m.dynamic_energy_j);
+  io.real(m.background_energy_j);
+  io.count(m.epochs);
+  for (auto& epoch : m.epochs) {
+    io.num(epoch.epoch);
+    io.num(epoch.reads);
+    io.num(epoch.writes);
+    io.real(epoch.avg_total_latency_cycles);
+    io.real(epoch.bandwidth_mbs);
+  }
+  // Optional trailer of a chunk-sampled row: `ci <k>` and its intervals.
+  io.trailer(row.metric_ci);
+  for (auto& interval : row.metric_ci) {
+    io.real(interval.lo);
+    io.real(interval.hi);
+  }
+}
+
+std::string encode(std::size_t index, const SweepRow& row) {
+  Writer w;
+  w.out << (row.ok() ? "row" : "fail");
+  w.num(index);
+  w.num(row.attempts);
+  if (!row.ok()) {
+    w.num(static_cast<std::uint64_t>(row.error_code));
+    w.num(static_cast<std::uint64_t>(row.outcome));
+    if (!row.error.empty()) w.out << ' ' << row.error;
+    return w.out.str();
+  }
+  metric_fields(w, row);
+  return w.out.str();
+}
+
+std::pair<std::size_t, SweepRow> decode(const std::string& record,
+                                        const JournalKey& key,
+                                        const std::string& path) {
+  Reader r{std::istringstream(record), path};
+  std::string tag;
+  r.in >> tag;
+  GMD_REQUIRE_AS(ErrorCode::kIo, tag == "row" || tag == "fail",
+                 "corrupt sweep journal '" << path << "': unexpected '" << tag
+                                           << "' record");
+  std::size_t index = 0;
+  SweepRow row;
+  r.num(index);
+  GMD_REQUIRE_AS(ErrorCode::kIo, index < key.num_points,
+                 "corrupt sweep journal '" << path << "': " << tag
+                                           << " index out of range");
+  r.num(row.attempts);
+  if (tag == "fail") {
+    std::uint64_t code = 0;
+    std::uint64_t outcome = 0;
+    r.num(code);
+    r.num(outcome);
+    GMD_REQUIRE_AS(ErrorCode::kIo,
+                   code <= static_cast<std::uint64_t>(kLastErrorCode),
+                   "corrupt sweep journal '" << path << "': bad error code");
+    GMD_REQUIRE_AS(
+        ErrorCode::kIo,
+        outcome == static_cast<std::uint64_t>(PointOutcome::kFailed) ||
+            outcome == static_cast<std::uint64_t>(PointOutcome::kTimedOut),
+        "corrupt sweep journal '" << path << "': bad fail outcome");
+    row.error_code = static_cast<ErrorCode>(code);
+    row.outcome = static_cast<PointOutcome>(outcome);
+    // The message is the rest of the record, newlines included.
+    row.error.assign(std::istreambuf_iterator<char>(r.in), {});
+    if (!row.error.empty() && row.error.front() == ' ') row.error.erase(0, 1);
+    return {index, std::move(row)};
+  }
+  metric_fields(r, row);
+  return {index, std::move(row)};
+}
 
 }  // namespace
 
@@ -125,241 +237,50 @@ JournalKey sweep_identity(JournalKey base, const SweepOptions& options) {
 
 SweepJournal::SweepJournal(std::string path, const JournalKey& key,
                            std::string owner)
-    : path_(std::move(path)), key_(key), owner_(std::move(owner)) {}
+    : key_(key),
+      owner_(std::move(owner)),
+      log_(std::move(path), identity(key),
+           owner_.empty() ? std::string() : "owner=" + owner_) {}
 
 std::vector<std::pair<std::size_t, SweepRow>> SweepJournal::load() {
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.clear();
-  // Parse into a local list and publish only on success, so a corrupt
-  // journal leaves the in-memory state empty (the caller can warn and
-  // start fresh; the next record() rewrites a consistent file).
-  std::vector<std::pair<std::size_t, SweepRow>> loaded;
-  if (!std::filesystem::exists(path_)) return entries_;
-  std::ifstream in(path_);
-  GMD_REQUIRE_AS(ErrorCode::kIo, in.good(),
-                 "cannot read sweep journal '" << path_ << "'");
-
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) lines.push_back(std::move(line));
-  }
-  // A crash during the very first append can leave a zero-length file
-  // (or a lone torn line) on filesystems without durable rename.  That
-  // is not corruption worth failing over — there is nothing to lose —
-  // so it loads as empty with a warning, matching tolerant-resume
-  // semantics.
-  if (lines.empty()) {
-    GMD_LOG_WARN << "sweep journal '" << path_
-                 << "' is zero-length (crash during the first append?); "
-                    "treating as empty";
-    return entries_;
-  }
-  {
-    std::istringstream header(lines.front());
-    std::string magic, version, trace_field, points_field, count_field;
-    header >> magic >> version >> trace_field >> points_field >> count_field;
-    const auto has_prefix = [](const std::string& field,
-                               std::string_view name) {
-      return field.rfind(name, 0) == 0 && field.size() > name.size();
-    };
-    const bool shape_ok = !header.fail() && magic == kMagic &&
-                          version == kVersion &&
-                          has_prefix(trace_field, "trace=") &&
-                          has_prefix(points_field, "points=") &&
-                          has_prefix(count_field, "count=");
-    if (!shape_ok && lines.size() == 1) {
-      GMD_LOG_WARN << "sweep journal '" << path_
-                   << "' holds a single malformed line (crash during the "
-                      "first append?); treating as empty";
-      return entries_;
-    }
-    GMD_REQUIRE_AS(ErrorCode::kIo, magic == kMagic && version == kVersion,
-                   "'" << path_ << "' is not a " << kVersion
-                       << " sweep journal");
-    GMD_REQUIRE_AS(ErrorCode::kIo, shape_ok,
-                   "corrupt sweep journal header in '" << path_ << "'");
-    const auto field_value = [](const std::string& field,
-                                std::string_view name) {
-      return field.substr(name.size());
-    };
-    GMD_REQUIRE_AS(
-        ErrorCode::kConfig,
-        field_value(trace_field, "trace=") == hex16(key_.trace_hash),
-        "sweep journal '"
-            << path_
-            << "' was written for a different trace (checksum mismatch); "
-               "refusing to resume");
-    GMD_REQUIRE_AS(
-        ErrorCode::kConfig,
-        field_value(points_field, "points=") == hex16(key_.points_hash) &&
-            field_value(count_field, "count=") ==
-                std::to_string(key_.num_points),
-        "sweep journal '"
-            << path_
-            << "' was written for a different design-point list; "
-               "refusing to resume");
-    // An `owner=` token may follow (per-worker journal namespace); it
-    // identifies the writer and does not constrain who may read.
-  }
-
-  for (std::size_t l = 1; l < lines.size(); ++l) {
-    const std::string& line = lines[l];
-    std::istringstream is(line);
-    std::string tag;
-    is >> tag;
-    if (tag == "fail") {
-      Reader r(is, path_);
-      const std::size_t index = r.u64();
-      GMD_REQUIRE_AS(ErrorCode::kIo, index < key_.num_points,
-                     "corrupt sweep journal '"
-                         << path_ << "': fail index out of range");
-      SweepRow row;
-      row.attempts = static_cast<std::uint32_t>(r.u64());
-      const std::uint64_t code = r.u64();
-      const std::uint64_t outcome = r.u64();
-      GMD_REQUIRE_AS(ErrorCode::kIo,
-                     code <= static_cast<std::uint64_t>(kLastErrorCode),
-                     "corrupt sweep journal '" << path_
-                                               << "': bad error code");
-      GMD_REQUIRE_AS(
-          ErrorCode::kIo,
-          outcome == static_cast<std::uint64_t>(PointOutcome::kFailed) ||
-              outcome == static_cast<std::uint64_t>(PointOutcome::kTimedOut),
-          "corrupt sweep journal '" << path_ << "': bad fail outcome");
-      row.error_code = static_cast<ErrorCode>(code);
-      row.outcome = static_cast<PointOutcome>(outcome);
-      std::getline(is, row.error);
-      if (!row.error.empty() && row.error.front() == ' ') {
-        row.error.erase(row.error.begin());
-      }
-      loaded.emplace_back(index, std::move(row));
-      continue;
-    }
-    GMD_REQUIRE_AS(ErrorCode::kIo, tag == "row",
-                   "corrupt sweep journal '" << path_ << "': unexpected '"
-                                             << tag << "' record");
-    Reader r(is, path_);
-    const std::size_t index = r.u64();
-    GMD_REQUIRE_AS(ErrorCode::kIo, index < key_.num_points,
-                   "corrupt sweep journal '" << path_
-                                             << "': row index out of range");
-    SweepRow row;
-    row.outcome = PointOutcome::kOk;
-    row.attempts = static_cast<std::uint32_t>(r.u64());
-    memsim::MemoryMetrics& m = row.metrics;
-    m.total_reads = r.u64();
-    m.total_writes = r.u64();
-    m.channels = static_cast<std::uint32_t>(r.u64());
-    m.banks_total = static_cast<std::uint32_t>(r.u64());
-    m.row_hits = r.u64();
-    m.row_misses = r.u64();
-    m.max_line_writes = r.u64();
-    m.unique_lines_written = r.u64();
-    m.avg_power_per_channel_w = r.f64();
-    m.avg_bandwidth_per_bank_mbs = r.f64();
-    m.avg_latency_cycles = r.f64();
-    m.avg_total_latency_cycles = r.f64();
-    m.avg_reads_per_channel = r.f64();
-    m.avg_writes_per_channel = r.f64();
-    m.execution_seconds = r.f64();
-    m.dynamic_energy_j = r.f64();
-    m.background_energy_j = r.f64();
-    const std::size_t num_epochs = r.u64();
-    m.epochs.resize(num_epochs);
-    for (auto& epoch : m.epochs) {
-      epoch.epoch = r.u64();
-      epoch.reads = r.u64();
-      epoch.writes = r.u64();
-      epoch.avg_total_latency_cycles = r.f64();
-      epoch.bandwidth_mbs = r.f64();
-    }
-    // Optional trailer: confidence intervals of a chunk-sampled row.
-    std::string trailer;
-    if (is >> trailer) {
-      GMD_REQUIRE_AS(ErrorCode::kIo, trailer == "ci",
-                     "corrupt sweep journal '" << path_ << "': unexpected '"
-                                               << trailer << "' trailer");
-      row.metric_ci.resize(r.u64());
-      for (auto& interval : row.metric_ci) {
-        interval.lo = r.f64();
-        interval.hi = r.f64();
-      }
-    }
-    loaded.emplace_back(index, std::move(row));
-  }
-  entries_ = std::move(loaded);
-  return entries_;
+  std::vector<std::pair<std::size_t, SweepRow>> rows;
+  log_.open([&](const std::string& record) {
+    rows.push_back(decode(record, key_, log_.path()));
+  });
+  return rows;
 }
 
 void SweepJournal::record(std::size_t index, const SweepRow& row) {
+  const std::string payload = encode(index, row);
   std::lock_guard<std::mutex> lock(mutex_);
-  entries_.emplace_back(index, row);
-  flush_locked();
+  log_.append(payload);
 }
 
 std::size_t SweepJournal::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
-void SweepJournal::flush_locked() {
-  atomic_write_file(path_, [this](std::ostream& out) {
-    out << kMagic << ' ' << kVersion << " trace=" << hex16(key_.trace_hash)
-        << " points=" << hex16(key_.points_hash)
-        << " count=" << key_.num_points;
-    if (!owner_.empty()) out << " owner=" << owner_;
-    out << '\n';
-    for (const auto& [index, row] : entries_) {
-      if (!row.ok()) {
-        out << "fail " << index << ' ' << row.attempts << ' '
-            << static_cast<int>(row.error_code) << ' '
-            << static_cast<int>(row.outcome);
-        if (!row.error.empty()) out << ' ' << row.error;
-        out << '\n';
-        continue;
-      }
-      const memsim::MemoryMetrics& m = row.metrics;
-      out << "row " << index << ' ' << row.attempts << ' ' << m.total_reads
-          << ' ' << m.total_writes << ' ' << m.channels << ' '
-          << m.banks_total << ' ' << m.row_hits << ' ' << m.row_misses << ' '
-          << m.max_line_writes << ' ' << m.unique_lines_written;
-      put_double(out, m.avg_power_per_channel_w);
-      put_double(out, m.avg_bandwidth_per_bank_mbs);
-      put_double(out, m.avg_latency_cycles);
-      put_double(out, m.avg_total_latency_cycles);
-      put_double(out, m.avg_reads_per_channel);
-      put_double(out, m.avg_writes_per_channel);
-      put_double(out, m.execution_seconds);
-      put_double(out, m.dynamic_energy_j);
-      put_double(out, m.background_energy_j);
-      out << ' ' << m.epochs.size();
-      for (const auto& epoch : m.epochs) {
-        out << ' ' << epoch.epoch << ' ' << epoch.reads << ' '
-            << epoch.writes;
-        put_double(out, epoch.avg_total_latency_cycles);
-        put_double(out, epoch.bandwidth_mbs);
-      }
-      if (!row.metric_ci.empty()) {
-        out << " ci " << row.metric_ci.size();
-        for (const auto& interval : row.metric_ci) {
-          put_double(out, interval.lo);
-          put_double(out, interval.hi);
-        }
-      }
-      out << '\n';
-    }
-  });
+  return log_.size();
 }
 
 JournalScan scan_journal(const std::string& path, const JournalKey& key) {
-  JournalScan scan;
-  SweepJournal journal(path, key);
+  JournalScan result;
+  std::ostringstream warning;
   try {
-    scan.rows = journal.load();
+    const std::optional<RecordScan> scan =
+        RecordLog(path, identity(key)).read([&](const std::string& record) {
+          result.rows.push_back(decode(record, key, path));
+        });
+    if (scan && !scan->corruption.empty()) {
+      warning << '[' << to_string(ErrorCode::kIo)
+              << "] corrupt sweep journal '" << path
+              << "': " << scan->corruption << "; later rows dropped";
+    }
   } catch (const Error& e) {
-    scan.warning = e.what();
+    result.rows.clear();
+    warning << '[' << to_string(e.code()) << "] " << e.what();
   }
-  return scan;
+  result.warning = warning.str();
+  return result;
 }
 
 }  // namespace gmd::dse

@@ -154,8 +154,8 @@ WorkerResult run_sweep_worker(const RunDir& run,
                                0);
 
   // This worker's own journal: a respawned worker adopts its dead
-  // predecessor's rows (load retains them across flushes).  An
-  // unusable journal is abandoned with a warning — its rows merely
+  // predecessor's rows and appends after them (load cuts a torn tail).
+  // An unusable journal is abandoned with a warning — its rows merely
   // become re-issued work.
   SweepJournal journal(run.journal_path(options.worker_id), key,
                        options.worker_id);

@@ -3,18 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <iomanip>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 
-#include "gmd/common/atomic_file.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/common/hash.hpp"
+#include "gmd/common/record_log.hpp"
 #include "gmd/common/rng.hpp"
 #include "gmd/common/thread_pool.hpp"
 #include "gmd/dse/checkpoint.hpp"
@@ -300,8 +299,6 @@ BlockScorer make_acquisition_scorer(const Surrogate& s,
 
 // --- rounds trajectory journal -----------------------------------------
 
-constexpr const char* kRoundsHeaderTag = "gmd-explorer-rounds";
-
 std::uint64_t options_identity(const ExplorerOptions& options) {
   // The knobs that determine the trajectory (and so the final result).
   // num_threads and block_size are deliberately absent: rounds are
@@ -323,66 +320,33 @@ std::uint64_t options_identity(const ExplorerOptions& options) {
   return h.state;
 }
 
-std::string hex16(std::uint64_t value) {
-  std::ostringstream os;
-  os << std::hex << std::setw(16) << std::setfill('0') << value;
-  return os.str();
+std::string encode_round(std::size_t round,
+                         const std::vector<std::size_t>& acquired) {
+  std::ostringstream record;
+  record << "round " << round << ' ' << acquired.size();
+  for (const std::size_t index : acquired) record << ' ' << index;
+  return record.str();
 }
 
-void write_rounds_file(const std::string& path, std::uint64_t space_hash,
-                       std::uint64_t trace_hash, std::uint64_t opts_hash,
-                       const std::vector<std::vector<std::size_t>>& rounds) {
-  atomic_write_file(path, [&](std::ostream& os) {
-    os << kRoundsHeaderTag << " v1 space=" << hex16(space_hash)
-       << " trace=" << hex16(trace_hash) << " opts=" << hex16(opts_hash)
-       << "\n";
-    for (std::size_t r = 0; r < rounds.size(); ++r) {
-      os << "round " << r << " " << rounds[r].size();
-      for (const std::size_t index : rounds[r]) os << " " << index;
-      os << "\n";
-    }
-  });
-}
-
-std::vector<std::vector<std::size_t>> load_rounds_file(
-    const std::string& path, std::uint64_t space_hash,
-    std::uint64_t trace_hash, std::uint64_t opts_hash,
-    std::size_t space_size) {
-  std::ifstream in(path);
-  if (!in.is_open()) return {};
-  std::string tag, version, space_tok, trace_tok, opts_tok;
-  in >> tag >> version >> space_tok >> trace_tok >> opts_tok;
-  GMD_REQUIRE_AS(ErrorCode::kConfig,
-                 in.good() && tag == kRoundsHeaderTag && version == "v1",
-                 "not an explorer rounds journal: " << path);
-  const std::string expect_space = "space=" + hex16(space_hash);
-  const std::string expect_trace = "trace=" + hex16(trace_hash);
-  const std::string expect_opts = "opts=" + hex16(opts_hash);
-  GMD_REQUIRE_AS(ErrorCode::kConfig,
-                 space_tok == expect_space && trace_tok == expect_trace &&
-                     opts_tok == expect_opts,
-                 "rounds journal " << path
-                                   << " was written for a different "
-                                      "space/trace/options identity");
-  std::vector<std::vector<std::size_t>> rounds;
+/// One journaled round: `round <r> <count> <space index>...`.
+std::vector<std::size_t> decode_round(const std::string& record,
+                                      std::size_t round,
+                                      std::size_t space_size) {
+  std::istringstream in(record);
   std::string word;
-  while (in >> word) {
-    GMD_REQUIRE_AS(ErrorCode::kIo, word == "round",
-                   "corrupt rounds journal: " << path);
-    std::size_t index = 0;
-    std::size_t count = 0;
-    in >> index >> count;
-    GMD_REQUIRE_AS(ErrorCode::kIo, in.good() && index == rounds.size(),
-                   "corrupt rounds journal: " << path);
-    std::vector<std::size_t> acquired(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      in >> acquired[i];
-      GMD_REQUIRE_AS(ErrorCode::kIo, !in.fail() && acquired[i] < space_size,
-                     "corrupt rounds journal: " << path);
-    }
-    rounds.push_back(std::move(acquired));
+  std::size_t index = 0;
+  std::size_t count = 0;
+  in >> word >> index >> count;
+  GMD_REQUIRE_AS(ErrorCode::kIo,
+                 !in.fail() && word == "round" && index == round,
+                 "corrupt rounds journal record '" << record << "'");
+  std::vector<std::size_t> acquired(count);
+  for (std::size_t& point : acquired) {
+    in >> point;
+    GMD_REQUIRE_AS(ErrorCode::kIo, !in.fail() && point < space_size,
+                   "corrupt rounds journal record '" << record << "'");
   }
-  return rounds;
+  return acquired;
 }
 
 }  // namespace
@@ -415,18 +379,21 @@ ExplorerResult run_explorer(const LazySpace& space,
   }
 
   // --- journal substrate -------------------------------------------------
-  const bool journaled = !options.run_dir.empty();
   const std::uint64_t space_hash = space.checksum();
   const std::uint64_t trace_hash = trace_checksum(trace);
   const std::uint64_t opts_hash = options_identity(options);
-  std::string rounds_path;
+  std::optional<RecordLog> rounds_log;
   std::unique_ptr<SweepJournal> journal;
   std::map<std::size_t, SweepRow> labeled;
   std::vector<std::vector<std::size_t>> trajectory;
 
-  if (journaled) {
+  if (!options.run_dir.empty()) {
     std::filesystem::create_directories(options.run_dir);
-    rounds_path = options.run_dir + "/rounds.txt";
+    std::ostringstream identity;
+    identity << "gmd-explorer-rounds v1 space=" << to_hex16(space_hash)
+             << " trace=" << to_hex16(trace_hash)
+             << " opts=" << to_hex16(opts_hash);
+    rounds_log.emplace(options.run_dir + "/rounds.txt", identity.str());
     JournalKey base;
     base.trace_hash = trace_hash;
     base.points_hash = space_hash;
@@ -435,8 +402,10 @@ ExplorerResult run_explorer(const LazySpace& space,
     journal = std::make_unique<SweepJournal>(
         options.run_dir + "/sweep.journal", key);
     if (options.resume) {
-      trajectory = load_rounds_file(rounds_path, space_hash, trace_hash,
-                                    opts_hash, space.size());
+      rounds_log->open([&](const std::string& record) {
+        trajectory.push_back(
+            decode_round(record, trajectory.size(), space.size()));
+      });
       for (auto& [index, row] : journal->load()) {
         // The journal stores metrics only; re-decode the design point so
         // loaded rows train the surrogate exactly like fresh ones.
@@ -554,11 +523,10 @@ ExplorerResult run_explorer(const LazySpace& space,
       }
       if (batch.empty()) break;
       trajectory.push_back(batch);
-      if (journaled) {
+      if (rounds_log) {
         // Acquisition is journaled BEFORE its simulations run: a kill
         // anywhere re-simulates the same points on resume.
-        write_rounds_file(rounds_path, space_hash, trace_hash, opts_hash,
-                          trajectory);
+        rounds_log->append(encode_round(round_idx, batch));
       }
     }
 

@@ -2,26 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "gmd/common/atomic_file.hpp"
 #include "gmd/common/error.hpp"
+#include "gmd/common/hash.hpp"
 
 namespace gmd::dse {
-
-namespace {
-
-constexpr std::string_view kMetaMagic = "gmd-sweep-run";
-constexpr std::string_view kMetaVersion = "v1";
-
-std::string hex16(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
-
-}  // namespace
 
 ShardPlan::ShardPlan(std::size_t num_points, std::size_t shard_size)
     : num_points_(num_points),
@@ -44,9 +30,8 @@ ShardRange ShardPlan::range(std::size_t shard) const {
 
 void write_run_meta(const std::string& path, const RunMeta& meta) {
   atomic_write_file(path, [&meta](std::ostream& os) {
-    os << kMetaMagic << ' ' << kMetaVersion
-       << " trace=" << hex16(meta.key.trace_hash)
-       << " points=" << hex16(meta.key.points_hash)
+    os << "gmd-sweep-run v1 trace=" << to_hex16(meta.key.trace_hash)
+       << " points=" << to_hex16(meta.key.points_hash)
        << " count=" << meta.key.num_points
        << " shard_size=" << meta.shard_size << '\n';
   });
@@ -54,55 +39,26 @@ void write_run_meta(const std::string& path, const RunMeta& meta) {
 
 RunMeta read_run_meta(const std::string& path) {
   std::ifstream in(path);
-  GMD_REQUIRE_AS(ErrorCode::kIo, in.good(),
-                 "cannot read run meta '" << path << "'");
   std::string line;
   GMD_REQUIRE_AS(ErrorCode::kIo, static_cast<bool>(std::getline(in, line)),
-                 "run meta '" << path << "' is empty");
-  std::istringstream is(line);
-  std::string magic, version, trace_field, points_field, count_field,
-      shard_field;
-  is >> magic >> version >> trace_field >> points_field >> count_field >>
-      shard_field;
+                 "cannot read run meta '" << path << "'");
+  // Exactly the line write_run_meta writes; anything else is rot.
+  char trace[17] = {};
+  char points[17] = {};
+  unsigned long long count = 0;
+  unsigned long long shard_size = 0;
+  int end = -1;
+  std::sscanf(line.c_str(),
+              "gmd-sweep-run v1 trace=%16s points=%16s count=%llu "
+              "shard_size=%llu%n",
+              trace, points, &count, &shard_size, &end);
+  const auto trace_hash = parse_hex16(trace);
+  const auto points_hash = parse_hex16(points);
   GMD_REQUIRE_AS(ErrorCode::kIo,
-                 !is.fail() && magic == kMetaMagic && version == kMetaVersion,
-                 "'" << path << "' is not a " << kMetaVersion
-                     << " sweep run meta");
-  const auto field = [&](const std::string& token, std::string_view name) {
-    GMD_REQUIRE_AS(ErrorCode::kIo,
-                   token.rfind(name, 0) == 0 && token.size() > name.size(),
-                   "corrupt run meta '" << path << "': expected " << name
-                                        << "<value>");
-    return token.substr(name.size());
-  };
-  const auto parse_u64 = [&](const std::string& text) {
-    std::uint64_t value = 0;
-    const int got = std::sscanf(text.c_str(), "%llu",
-                                reinterpret_cast<unsigned long long*>(&value));
-    GMD_REQUIRE_AS(ErrorCode::kIo, got == 1,
-                   "corrupt run meta '" << path << "': bad number '" << text
-                                        << "'");
-    return value;
-  };
-  const auto parse_hex = [&](const std::string& text) {
-    std::uint64_t value = 0;
-    const int got = std::sscanf(text.c_str(), "%llx",
-                                reinterpret_cast<unsigned long long*>(&value));
-    GMD_REQUIRE_AS(ErrorCode::kIo, got == 1,
-                   "corrupt run meta '" << path << "': bad hex '" << text
-                                        << "'");
-    return value;
-  };
-  RunMeta meta;
-  meta.key.trace_hash = parse_hex(field(trace_field, "trace="));
-  meta.key.points_hash = parse_hex(field(points_field, "points="));
-  meta.key.num_points =
-      static_cast<std::size_t>(parse_u64(field(count_field, "count=")));
-  meta.shard_size =
-      static_cast<std::size_t>(parse_u64(field(shard_field, "shard_size=")));
-  GMD_REQUIRE_AS(ErrorCode::kIo, meta.shard_size > 0,
-                 "corrupt run meta '" << path << "': zero shard_size");
-  return meta;
+                 end == static_cast<int>(line.size()) && trace_hash &&
+                     points_hash && shard_size > 0,
+                 "'" << path << "' is not a valid v1 sweep run meta");
+  return RunMeta{{*trace_hash, *points_hash, count}, shard_size};
 }
 
 }  // namespace gmd::dse

@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "gmd/common/atomic_file.hpp"
 #include "gmd/common/hash.hpp"
 #include "gmd/common/logging.hpp"
 #include "gmd/common/thread_pool.hpp"
@@ -100,17 +99,8 @@ class TraceAccess {
   /// streams chunks off the store mapping when not yet materialized.
   /// Safe to call from pool tasks.
   memsim::PredecodedTrace predecode(const memsim::MemoryConfig& config) const {
-    if (materialized_) {
-      return memsim::PredecodedTrace::build(config, events_);
-    }
-    tracestore::ChunkIterator it(*store_);
-    return memsim::PredecodedTrace::build(
-        config,
-        [&it]() -> std::span<const cpusim::MemoryEvent> {
-          return it.next() ? it.events()
-                           : std::span<const cpusim::MemoryEvent>{};
-        },
-        num_events());
+    return materialized_ ? memsim::PredecodedTrace::build(config, events_)
+                         : dse::predecode(config, *store_);
   }
 
  private:
@@ -260,6 +250,18 @@ memsim::MemoryMetrics simulate_point(
   return row.metrics;
 }
 
+memsim::PredecodedTrace predecode(const memsim::MemoryConfig& config,
+                                  const tracestore::TraceStoreReader& store) {
+  tracestore::ChunkIterator it(store);
+  return memsim::PredecodedTrace::build(
+      config,
+      [&it]() -> std::span<const cpusim::MemoryEvent> {
+        return it.next() ? it.events()
+                         : std::span<const cpusim::MemoryEvent>{};
+      },
+      static_cast<std::size_t>(store.num_events()));
+}
+
 MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
                           const DesignPoint& point,
                           const SimulateOptions& options) {
@@ -295,14 +297,7 @@ MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
   } else {
     // Stream-predecode off the shared mapping — the sweep's grouped
     // path, without materializing the raw event vector.
-    tracestore::ChunkIterator it(store);
-    local = memsim::PredecodedTrace::build(
-        point.single_config(),
-        [&it]() -> std::span<const cpusim::MemoryEvent> {
-          return it.next() ? it.events()
-                           : std::span<const cpusim::MemoryEvent>{};
-        },
-        static_cast<std::size_t>(store.num_events()));
+    local = predecode(point.single_config(), store);
     feed.predecoded = &local;
   }
 
@@ -403,13 +398,6 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
   // every newly completed row.
   std::unique_ptr<SweepJournal> journal;
   if (!options.checkpoint_path.empty()) {
-    // A crashed journal flush can strand '<path>.tmp'; reclaim it
-    // before the first write of this run (readers never look at it,
-    // but leftovers should not accumulate across kill-resume cycles).
-    if (remove_file_if_exists(options.checkpoint_path + ".tmp")) {
-      GMD_LOG_INFO << "sweep: reclaimed stale temp '"
-                   << options.checkpoint_path << ".tmp'";
-    }
     // The sampling geometry joins the journal identity (see
     // sweep_identity): a journal written under one geometry must not
     // resume a sweep under another.
@@ -417,12 +405,12 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
         sweep_identity(access.journal_key(points), options);
     journal = std::make_unique<SweepJournal>(options.checkpoint_path, key);
     if (options.resume) {
-      // A journal that fails to load — truncated file, flipped header
-      // byte, or a checksum from a different trace/point list — must
-      // not take the sweep down with it: the worst case of resuming is
+      // load() itself cuts a torn tail back to the last valid record.
+      // A journal that still fails to load — written for a different
+      // trace/point list, or not a sweep journal — must not take the
+      // sweep down with it: the worst case of resuming is
       // re-simulating, so warn with the typed code and start fresh.
-      // load() retains nothing on failure, and the first record()
-      // rewrites a consistent journal for the current invocation.
+      // The first record() then starts a new journal for this sweep.
       std::vector<std::pair<std::size_t, SweepRow>> restored_rows;
       try {
         restored_rows = journal->load();
@@ -581,12 +569,16 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
         // The wall budget starts before the attempt (including the test
         // fault hook), so a hook that stalls past it exercises the same
         // timeout path as a stuck simulation.
+        // Each attempt polls its own token: check() amortizes clock reads
+        // through a per-token counter, so pool threads must not share the
+        // caller's cancel token directly.
         std::optional<Deadline> budget;
-        Deadline* deadline = options.cancel;
         if (options.point_wall_budget.count() > 0) {
           budget.emplace(options.point_wall_budget, options.cancel);
-          deadline = &*budget;
+        } else if (options.cancel != nullptr) {
+          budget.emplace(options.cancel);
         }
+        Deadline* deadline = budget ? &*budget : nullptr;
         if (options.cancel != nullptr && options.cancel->cancelled()) {
           throw Error(ErrorCode::kCancelled, "sweep cancelled");
         }

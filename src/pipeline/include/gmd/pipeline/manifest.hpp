@@ -8,25 +8,27 @@
 /// verify on disk — a stage is re-run if either side drifted, so a
 /// resumed pipeline can never serve stale or torn outputs.
 ///
-/// File format (plain text, one record per line):
+/// The manifest is a gmd::RecordLog (record_log.hpp): a checksummed
+/// line per record, appended and fdatasync'd once, with a torn tail cut
+/// back to the last complete record.  Record payloads:
 ///
 ///   gmd-pipeline-manifest v1
-///   stage <name> inputs=<16-hex> outputs=<n>
-///   artifact <relpath> <bytes> <16-hex>
-///   ...
+///   stage <name> inputs=<16-hex> outputs=<n> [artifact <relpath> <bytes> <16-hex>]...
 ///
-/// Artifact paths are relative to the manifest's directory, so a
-/// pipeline output directory can be moved or copied wholesale and still
-/// resume.  Every record() rewrites the file through
-/// gmd::atomic_write_file, so a crash mid-write leaves the previous
-/// consistent manifest.  An unreadable or corrupt manifest is discarded
-/// with a typed warning (the worst case of losing it is re-running
-/// stages, never wrong results).
+/// One record carries a stage with all of its artifacts, so a stage is
+/// recorded whole or not at all; a re-run stage appends a new record
+/// and the last record for a stage name wins.  Artifact paths are
+/// relative to the manifest's directory, so a pipeline output directory
+/// can be moved or copied wholesale and still resume.  A manifest that
+/// does not parse is discarded with a typed warning (the worst case of
+/// losing it is re-running stages, never wrong results).
 
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "gmd/common/record_log.hpp"
 
 namespace gmd::pipeline {
 
@@ -51,12 +53,14 @@ class Manifest {
   /// until load() / record_stage().
   explicit Manifest(std::string path);
 
-  /// Loads an existing manifest.  A missing file yields an empty
-  /// manifest; an unreadable or corrupt one is discarded with a
-  /// GMD_LOG_WARN (typed code included) and also yields empty — load()
-  /// never throws for bad content, because the worst case of losing a
-  /// manifest is re-running stages.  Returns the number of stage
-  /// records loaded.
+  /// Loads an existing manifest and continues it: later stages append
+  /// after the loaded ones.  A missing file yields an empty manifest; a
+  /// torn tail is cut back to the last complete stage record with a
+  /// GMD_LOG_WARN; an unreadable one, or one that does not parse, is
+  /// discarded with a GMD_LOG_WARN (typed code included) and also
+  /// yields empty — load() never throws for bad content, because the
+  /// worst case of losing a manifest is re-running stages.  Returns the
+  /// number of stages loaded.
   std::size_t load();
 
   /// True when stage `name` is recorded with the same `inputs_hash` and
@@ -66,9 +70,10 @@ class Manifest {
                    std::uint64_t inputs_hash) const;
 
   /// Records (or replaces) stage `name`: stats and hashes each artifact
-  /// (paths relative to the manifest directory) and atomically rewrites
-  /// the manifest file.  Throws Error(kIo) when an artifact is missing
-  /// — a stage must not be recorded complete without its outputs.
+  /// (paths relative to the manifest directory) and appends one stage
+  /// record.  Unless load() ran first, the first record starts a fresh
+  /// manifest file.  Throws Error(kIo) when an artifact is missing — a
+  /// stage must not be recorded complete without its outputs.
   void record_stage(const std::string& name, std::uint64_t inputs_hash,
                     std::span<const std::string> artifact_relpaths);
 
@@ -76,16 +81,14 @@ class Manifest {
   const StageRecord* find(const std::string& name) const;
 
   const std::vector<StageRecord>& stages() const { return stages_; }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return log_.path(); }
 
   /// The directory artifact relpaths resolve against.
   std::string resolve(const std::string& relpath) const;
 
  private:
-  void flush() const;  ///< Atomic rewrite of the manifest file.
-
-  std::string path_;
   std::string dir_;
+  RecordLog log_;
   std::vector<StageRecord> stages_;
 };
 

@@ -11,7 +11,7 @@
 ///   recommend — best-point report -> recommendations.txt
 ///
 /// Every artifact is published with a temp-then-rename write, each
-/// completed stage is recorded in manifest.txt keyed on a content hash
+/// completed stage is appended to manifest.txt keyed on a content hash
 /// of its inputs, and the sweep additionally journals per-point rows.
 /// Kill the process at any instant and re-run with resume=true: stages
 /// whose inputs and outputs still verify are skipped, the sweep resumes

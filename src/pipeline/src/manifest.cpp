@@ -1,47 +1,76 @@
 #include "gmd/pipeline/manifest.hpp"
 
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 
 #include "gmd/common/atomic_file.hpp"
 #include "gmd/common/error.hpp"
+#include "gmd/common/hash.hpp"
 #include "gmd/common/logging.hpp"
 
 namespace gmd::pipeline {
 
 namespace {
 
-constexpr std::string_view kMagic = "gmd-pipeline-manifest";
-constexpr std::string_view kVersion = "v1";
-
-std::string hex16(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
+std::string encode(const StageRecord& stage) {
+  std::ostringstream out;
+  out << "stage " << stage.name << " inputs=" << to_hex16(stage.inputs_hash)
+      << " outputs=" << stage.artifacts.size();
+  for (const ArtifactRecord& artifact : stage.artifacts) {
+    out << " artifact " << artifact.relpath << ' ' << artifact.bytes << ' '
+        << to_hex16(artifact.checksum);
+  }
+  return out.str();
 }
 
-std::uint64_t parse_hex16(const std::string& token, const std::string& path) {
-  // Exactly 16 hex digits: a shorter token is a truncation tear, not a
-  // smaller number.
-  unsigned long long parsed = 0;
-  int consumed = 0;
-  const int got = std::sscanf(token.c_str(), "%llx%n", &parsed, &consumed);
-  GMD_REQUIRE_AS(ErrorCode::kIo,
-                 got == 1 && token.size() == 16 &&
-                     static_cast<std::size_t>(consumed) == token.size(),
-                 "corrupt pipeline manifest '" << path << "': bad hex token '"
-                                               << token << "'");
-  return parsed;
+StageRecord decode(const std::string& record, const std::string& path) {
+  const auto require = [&](bool ok) {
+    GMD_REQUIRE_AS(ErrorCode::kIo, ok,
+                   "corrupt pipeline manifest '"
+                       << path << "': bad stage record '" << record << "'");
+  };
+  const auto hex = [&](const std::string& token) {
+    const auto value = parse_hex16(token);
+    require(value.has_value());
+    return *value;
+  };
+  std::istringstream is(record);
+  StageRecord stage;
+  std::string tag, inputs, outputs;
+  is >> tag >> stage.name >> inputs >> outputs;
+  require(!is.fail() && tag == "stage" && inputs.starts_with("inputs=") &&
+          outputs.starts_with("outputs="));
+  stage.inputs_hash = hex(inputs.substr(7));
+  std::size_t count = 0;
+  require(static_cast<bool>(std::istringstream(outputs.substr(8)) >> count));
+  stage.artifacts.resize(count);
+  for (ArtifactRecord& artifact : stage.artifacts) {
+    std::string checksum;
+    is >> tag >> artifact.relpath >> artifact.bytes >> checksum;
+    require(!is.fail() && tag == "artifact");
+    artifact.checksum = hex(checksum);
+  }
+  return stage;
+}
+
+/// Replaces the stage of the same name, or adds it: the last record
+/// for a stage name wins.
+void upsert(std::vector<StageRecord>& stages, StageRecord stage) {
+  for (StageRecord& existing : stages) {
+    if (existing.name == stage.name) {
+      existing = std::move(stage);
+      return;
+    }
+  }
+  stages.push_back(std::move(stage));
 }
 
 }  // namespace
 
-Manifest::Manifest(std::string path) : path_(std::move(path)) {
+Manifest::Manifest(std::string path)
+    : log_(std::move(path), "gmd-pipeline-manifest v1") {
   const std::filesystem::path parent =
-      std::filesystem::path(path_).parent_path();
+      std::filesystem::path(log_.path()).parent_path();
   dir_ = parent.empty() ? "." : parent.string();
 }
 
@@ -51,88 +80,18 @@ std::string Manifest::resolve(const std::string& relpath) const {
 
 std::size_t Manifest::load() {
   stages_.clear();
-  if (!std::filesystem::exists(path_)) return 0;
   // Parse into a local list and publish only on success: a corrupt
   // manifest is worth a warning and a from-scratch run, never an abort
-  // or a half-loaded state.
+  // or a half-loaded state.  A torn tail is not corruption: open()
+  // cuts it back to the last complete stage record.
   try {
-    std::ifstream in(path_);
-    GMD_REQUIRE_AS(ErrorCode::kIo, in.good(),
-                   "cannot read pipeline manifest '" << path_ << "'");
-    std::string line;
-    GMD_REQUIRE_AS(ErrorCode::kIo, static_cast<bool>(std::getline(in, line)),
-                   "pipeline manifest '" << path_ << "' is empty");
-    {
-      std::istringstream header(line);
-      std::string magic, version;
-      header >> magic >> version;
-      GMD_REQUIRE_AS(ErrorCode::kIo, magic == kMagic && version == kVersion,
-                     "'" << path_ << "' is not a " << kVersion
-                         << " pipeline manifest");
-    }
     std::vector<StageRecord> loaded;
-    std::vector<std::size_t> declared_outputs;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      std::istringstream is(line);
-      std::string tag;
-      is >> tag;
-      if (tag == "stage") {
-        StageRecord stage;
-        std::string inputs_field, outputs_field;
-        is >> stage.name >> inputs_field >> outputs_field;
-        GMD_REQUIRE_AS(ErrorCode::kIo,
-                       !stage.name.empty() &&
-                           inputs_field.rfind("inputs=", 0) == 0 &&
-                           outputs_field.rfind("outputs=", 0) == 0,
-                       "corrupt pipeline manifest '"
-                           << path_ << "': bad stage record '" << line << "'");
-        stage.inputs_hash =
-            parse_hex16(inputs_field.substr(7), path_);
-        unsigned long long outputs = 0;
-        const int got =
-            std::sscanf(outputs_field.c_str() + 8, "%llu", &outputs);
-        GMD_REQUIRE_AS(ErrorCode::kIo, got == 1,
-                       "corrupt pipeline manifest '"
-                           << path_ << "': bad stage record '" << line << "'");
-        declared_outputs.push_back(static_cast<std::size_t>(outputs));
-        loaded.push_back(std::move(stage));
-      } else if (tag == "artifact") {
-        GMD_REQUIRE_AS(ErrorCode::kIo, !loaded.empty(),
-                       "corrupt pipeline manifest '"
-                           << path_ << "': artifact before any stage");
-        ArtifactRecord artifact;
-        std::string checksum_field;
-        is >> artifact.relpath >> artifact.bytes >> checksum_field;
-        GMD_REQUIRE_AS(ErrorCode::kIo,
-                       !artifact.relpath.empty() && !checksum_field.empty() &&
-                           !is.fail(),
-                       "corrupt pipeline manifest '"
-                           << path_ << "': bad artifact record '" << line
-                           << "'");
-        artifact.checksum = parse_hex16(checksum_field, path_);
-        loaded.back().artifacts.push_back(std::move(artifact));
-      } else {
-        GMD_REQUIRE_AS(ErrorCode::kIo, false,
-                       "corrupt pipeline manifest '"
-                           << path_ << "': unexpected '" << tag
-                           << "' record");
-      }
-    }
-    // The declared outputs count catches a tear that removed whole
-    // trailing artifact lines.
-    for (std::size_t i = 0; i < loaded.size(); ++i) {
-      GMD_REQUIRE_AS(ErrorCode::kIo,
-                     loaded[i].artifacts.size() == declared_outputs[i],
-                     "corrupt pipeline manifest '"
-                         << path_ << "': stage '" << loaded[i].name
-                         << "' declares " << declared_outputs[i]
-                         << " outputs but lists "
-                         << loaded[i].artifacts.size());
-    }
+    log_.open([&](const std::string& record) {
+      upsert(loaded, decode(record, log_.path()));
+    });
     stages_ = std::move(loaded);
   } catch (const Error& e) {
-    GMD_LOG_WARN << "pipeline resume: ignoring unusable manifest '" << path_
+    GMD_LOG_WARN << "pipeline resume: ignoring unusable manifest '" << path()
                  << "' [" << to_string(e.code()) << "]: " << e.what()
                  << "; all stages will re-run";
     stages_.clear();
@@ -185,30 +144,8 @@ void Manifest::record_stage(const std::string& name,
     stage.artifacts.push_back(std::move(artifact));
   }
 
-  bool replaced = false;
-  for (StageRecord& existing : stages_) {
-    if (existing.name == name) {
-      existing = std::move(stage);
-      replaced = true;
-      break;
-    }
-  }
-  if (!replaced) stages_.push_back(std::move(stage));
-  flush();
-}
-
-void Manifest::flush() const {
-  atomic_write_file(path_, [this](std::ostream& out) {
-    out << kMagic << ' ' << kVersion << '\n';
-    for (const StageRecord& stage : stages_) {
-      out << "stage " << stage.name << " inputs=" << hex16(stage.inputs_hash)
-          << " outputs=" << stage.artifacts.size() << '\n';
-      for (const ArtifactRecord& artifact : stage.artifacts) {
-        out << "artifact " << artifact.relpath << ' ' << artifact.bytes
-            << ' ' << hex16(artifact.checksum) << '\n';
-      }
-    }
-  });
+  log_.append(encode(stage));
+  upsert(stages_, std::move(stage));
 }
 
 }  // namespace gmd::pipeline

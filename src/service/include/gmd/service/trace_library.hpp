@@ -116,8 +116,4 @@ class TraceLibrary {
       predecoded_cache_;
 };
 
-/// Formats a content checksum the way the protocol exposes it
-/// (16 lowercase hex digits, zero-padded).
-std::string format_checksum(std::uint64_t checksum);
-
 }  // namespace gmd::service

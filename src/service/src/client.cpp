@@ -302,7 +302,7 @@ Json PipeClient::request_with_retry(Json body, int* attempts_out) {
 
     bool transport_failure = false;
     try {
-      Json response = request(std::move(attempt_body));
+      Json response = wait(send(std::move(attempt_body)));
       if (response.bool_or("ok", false)) return response;
       const Json& error = response.at("error");
       const std::string code =

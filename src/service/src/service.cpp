@@ -7,6 +7,7 @@
 
 #include "gmd/common/error.hpp"
 #include "gmd/common/faultinject.hpp"
+#include "gmd/common/hash.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/recommend.hpp"
 #include "gmd/memsim/metrics.hpp"
@@ -180,7 +181,7 @@ void Service::handle_line(const std::string& line,
       response["id"] = request.id;
       response["ok"] = true;
       response["alias"] = alias;
-      response["checksum"] = format_checksum(checksum);
+      response["checksum"] = to_hex16(checksum);
       respond(response.dump());
       completed_.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -347,7 +348,7 @@ Json Service::run_simulate(const Request& request, Deadline* deadline) {
     }
 
     Json response;
-    response["trace"] = format_checksum(checksum);
+    response["trace"] = to_hex16(checksum);
     response["rows"] = Json(std::move(rows));
     response["cache_hits"] = hits;
     return response;

@@ -1,9 +1,10 @@
 #include "gmd/service/trace_library.hpp"
 
-#include <cstdio>
 #include <utility>
 
 #include "gmd/common/error.hpp"
+#include "gmd/common/hash.hpp"
+#include "gmd/dse/sweep.hpp"
 
 namespace gmd::service {
 
@@ -43,25 +44,6 @@ auto build_once(std::mutex& mutex, Map& cache, const Key& key, Build build)
   return future.get();
 }
 
-/// Parses a 16-lowercase-hex-digit content checksum; returns false for
-/// anything else (so ordinary aliases never collide with the space).
-bool parse_checksum(const std::string& name, std::uint64_t& out) {
-  if (name.size() != 16) return false;
-  std::uint64_t checksum = 0;
-  for (const char c : name) {
-    checksum <<= 4;
-    if (c >= '0' && c <= '9') {
-      checksum |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      checksum |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return false;
-    }
-  }
-  out = checksum;
-  return true;
-}
-
 std::string quarantined_message(const std::string& kind,
                                 const std::string& name,
                                 const QuarantinedResource& info) {
@@ -70,13 +52,6 @@ std::string quarantined_message(const std::string& kind,
 }
 
 }  // namespace
-
-std::string format_checksum(std::uint64_t checksum) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(checksum));
-  return std::string(buf);
-}
 
 std::uint64_t TraceLibrary::register_store(const std::string& alias,
                                            const std::string& path) {
@@ -95,7 +70,7 @@ std::uint64_t TraceLibrary::register_store(const std::string& alias,
                    "alias '" << alias
                              << "' is already registered for different trace "
                                 "content (checksum "
-                             << format_checksum(it->second.checksum) << ")");
+                             << to_hex16(it->second.checksum) << ")");
     return checksum;  // Same content: idempotent re-registration.
   }
   Entry entry{alias, path, checksum, std::move(reader)};
@@ -123,14 +98,14 @@ std::shared_ptr<const tracestore::TraceStoreReader> TraceLibrary::find(
         return it->second.reader;
       }
       // A 16-hex-digit name may be a content checksum.
-      std::uint64_t checksum = 0;
-      if (parse_checksum(name, checksum)) {
-        if (const auto it = by_checksum_.find(checksum);
+      const std::optional<std::uint64_t> checksum = parse_hex16(name);
+      if (checksum) {
+        if (const auto it = by_checksum_.find(*checksum);
             it != by_checksum_.end()) {
           return it->second.reader;
         }
         for (const auto& [alias, q] : quarantined_) {
-          if (q.checksum == checksum) {
+          if (q.checksum == *checksum) {
             quarantined_alias = alias;
             break;
           }
@@ -181,7 +156,8 @@ bool TraceLibrary::quarantine_locked(const std::string& name, ErrorCode code,
   if (const auto it = by_alias_.find(name); it != by_alias_.end()) {
     checksum = it->second.checksum;
     resolved = true;
-  } else if (parse_checksum(name, checksum)) {
+  } else if (const auto parsed = parse_hex16(name)) {
+    checksum = *parsed;
     resolved = by_checksum_.count(checksum) > 0;
   }
   if (!resolved) {
@@ -311,15 +287,8 @@ std::shared_ptr<const memsim::PredecodedTrace> TraceLibrary::predecoded(
   const std::pair<std::uint64_t, std::string> key{
       store.content_checksum(), memsim::PredecodedTrace::key(config)};
   return build_once(mutex_, predecoded_cache_, key, [&store, &config] {
-    tracestore::ChunkIterator it(store);
-    const auto source = [&it]() -> std::span<const cpusim::MemoryEvent> {
-      return it.next() ? it.events()
-                       : std::span<const cpusim::MemoryEvent>{};
-    };
     return std::make_shared<const memsim::PredecodedTrace>(
-        memsim::PredecodedTrace::build(config, source,
-                                       static_cast<std::size_t>(
-                                           store.num_events())));
+        dse::predecode(config, store));
   });
 }
 

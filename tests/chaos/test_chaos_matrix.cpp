@@ -7,11 +7,12 @@
 /// site is cleared the same operation must succeed — no fault may leave
 /// persistent damage behind.  The matrix plus the quarantine scenarios
 /// below exceed 30 seeded scenarios across io / store / model / lease /
-/// service sites (run under ASan and TSan in CI).
+/// journal / service sites (run under ASan and TSan in CI).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -21,6 +22,8 @@
 #include "gmd/common/atomic_file.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/common/faultinject.hpp"
+#include "gmd/common/logging.hpp"
+#include "gmd/common/record_log.hpp"
 #include "gmd/cpusim/workloads.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/lease.hpp"
@@ -126,6 +129,15 @@ void op_lease(const std::string& dir) {
   }
 }
 
+void op_record_log(const std::string& dir) {
+  // Continues whatever log the previous call left, torn or not: a fault
+  // mid-append may cost that one record, never the log.
+  const std::string path = dir + "/chaos.log";
+  RecordLog log(path, "chaos-log v1");
+  log.open([](const std::string&) {});
+  log.append("payload");
+}
+
 // --- the matrix ------------------------------------------------------
 
 struct DirectScenario {
@@ -134,7 +146,8 @@ struct DirectScenario {
   std::uint64_t fail_nth;
   double probability;
   std::uint64_t seed;
-  /// Which operation reaches the site: 0 write, 1 store, 2 model, 3 lease.
+  /// Which operation reaches the site: 0 write, 1 store, 2 model,
+  /// 3 lease, 4 record log.
   int op;
 };
 
@@ -165,6 +178,10 @@ constexpr DirectScenario kDirectMatrix[] = {
     {"lease.claim", FaultKind::kUnavailable, 1, 1.0, 20, 3},
     {"lease.heartbeat", FaultKind::kIo, 1, 1.0, 21, 3},
     {"lease.heartbeat", FaultKind::kTimeout, 1, 1.0, 22, 3},
+    // journal site: one append to a record log (sweep journal, pipeline
+    // manifest, explorer rounds).
+    {"record_log.append", FaultKind::kIo, 1, 1.0, 23, 4},
+    {"record_log.append", FaultKind::kPartialWrite, 1, 1.0, 24, 4},
 };
 
 TEST_F(ChaosMatrixTest, DirectSitesFailTypedAndRecoverOnceCleared) {
@@ -185,7 +202,8 @@ TEST_F(ChaosMatrixTest, DirectSitesFailTypedAndRecoverOnceCleared) {
         case 0: op_atomic_write(*dir_); break;
         case 1: op_read_store(*store_path_); break;
         case 2: op_model_roundtrip(*model_path_, *dir_); break;
-        default: op_lease(*dir_); break;
+        case 3: op_lease(*dir_); break;
+        default: op_record_log(*dir_); break;
       }
     };
 
@@ -254,6 +272,55 @@ TEST_F(ChaosMatrixTest, PartialWriteLeavesOldArtifactIntact) {
   std::getline(in, content);
   EXPECT_EQ(content, "original");
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+}
+
+TEST_F(ChaosMatrixTest, TornJournalAppendMidSweepResumesBitIdentical) {
+  // The sweep journal's durability path: the fourth append tears and
+  // kills a fail-fast sweep.  Resume must restore exactly the three
+  // complete records before the tear, warn once, and end with rows
+  // bit-identical to an uninterrupted run.
+  tracestore::TraceStoreReader store(*store_path_);
+  std::vector<dse::DesignPoint> points = dse::reduced_design_space();
+  points.resize(8);
+  const std::vector<dse::SweepRow> reference = dse::run_sweep(points, store);
+  const std::string journal = *dir_ + "/torn_sweep.journal";
+  std::filesystem::remove(journal);
+
+  dse::SweepOptions options;
+  options.checkpoint_path = journal;
+  options.num_threads = 1;  // one append order, so the tear lands on #4
+  FaultSpec spec;
+  spec.kind = FaultKind::kPartialWrite;
+  spec.fail_nth = 4;
+  spec.one_shot = true;
+  faultinject::arm("record_log.append", spec);
+  try {
+    dse::run_sweep(points, store, options);
+    FAIL() << "the torn append must fail the fail-fast sweep";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kIo);
+  }
+  faultinject::clear();
+
+  options.resume = true;
+  std::atomic<std::size_t> simulated{0};
+  options.fault_hook = [&](std::size_t, std::uint32_t) { ++simulated; };
+  std::vector<std::string> warnings;
+  log::set_sink([&warnings](log::Level level, std::string_view msg) {
+    if (level == log::Level::kWarn) warnings.emplace_back(msg);
+  });
+  const std::vector<dse::SweepRow> rows = dse::run_sweep(points, store, options);
+  log::set_sink(nullptr);
+
+  EXPECT_EQ(simulated.load(), points.size() - 3);
+  ASSERT_EQ(warnings.size(), 1u);
+  EXPECT_NE(warnings[0].find("[io]"), std::string::npos) << warnings[0];
+  ASSERT_EQ(rows.size(), reference.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].metrics.metric_values(),
+              reference[i].metrics.metric_values())
+        << "point " << i;
+  }
 }
 
 // --- service-layer scenarios ----------------------------------------

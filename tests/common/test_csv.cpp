@@ -1,7 +1,9 @@
 #include "gmd/common/csv.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "gmd/common/error.hpp"
@@ -79,12 +81,14 @@ TEST(CsvTable, ReadRejectsMalformedInput) {
 TEST(CsvTable, SaveAndLoadFile) {
   CsvTable t({"v"});
   t.add_row({42.0});
-  const std::string path = testing::TempDir() + "/gmd_csv_test.csv";
+  const std::string path = testing::TempDir() + "/gmd_csv_test_" +
+                           std::to_string(::getpid()) + ".csv";
   t.save(path);
   const CsvTable back = CsvTable::load(path);
   ASSERT_EQ(back.num_rows(), 1u);
   EXPECT_DOUBLE_EQ(back.at(0, "v"), 42.0);
   EXPECT_THROW(CsvTable::load("/nonexistent/dir/x.csv"), Error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -44,5 +44,29 @@ TEST(Fnv1aHash, DoubleUsesBitPattern) {
   EXPECT_EQ(a.state, b.state);
 }
 
+TEST(Hex16, FormatsSixteenLowercaseDigitsZeroPadded) {
+  EXPECT_EQ(to_hex16(0), "0000000000000000");
+  EXPECT_EQ(to_hex16(0xABCDEFULL), "0000000000abcdef");
+  EXPECT_EQ(to_hex16(0xFFFFFFFFFFFFFFFFULL), "ffffffffffffffff");
+}
+
+TEST(Hex16, ParseRoundTripsEveryFormattedValue) {
+  for (const std::uint64_t value :
+       {0ULL, 1ULL, 0xCBF29CE484222325ULL, 0x8000000000000000ULL,
+        0xFFFFFFFFFFFFFFFFULL}) {
+    EXPECT_EQ(parse_hex16(to_hex16(value)), value);
+  }
+}
+
+TEST(Hex16, ParseRejectsAnythingButSixteenLowercaseDigits) {
+  // "ab" and "zzzz" are the torn tokens a truncated manifest produced.
+  for (const char* token :
+       {"", "ab", "zzzz", "000000000000000", "00000000000000000",
+        "00000000000000AB", "000000000000000g", " 00000000000000a",
+        "0x0000000000000a", "-000000000000001"}) {
+    EXPECT_FALSE(parse_hex16(token).has_value()) << "'" << token << "'";
+  }
+}
+
 }  // namespace
 }  // namespace gmd

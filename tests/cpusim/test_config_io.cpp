@@ -1,7 +1,9 @@
 #include "gmd/cpusim/config_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "gmd/common/error.hpp"
@@ -86,12 +88,14 @@ TEST(CpuConfigIo, RejectsMalformedInput) {
 }
 
 TEST(CpuConfigIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/gmd_cpu_test.cfg";
+  const std::string path = testing::TempDir() + "/gmd_cpu_test_" +
+                           std::to_string(::getpid()) + ".cfg";
   CpuModel model;
   model.freq_mhz = 3000;
   save_cpu_config(path, model);
   EXPECT_EQ(load_cpu_config(path).freq_mhz, 3000u);
   EXPECT_THROW(load_cpu_config("/nonexistent/cpu.cfg"), Error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,18 +1,22 @@
 #include "gmd/dse/explorer.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <vector>
 
 #include "gmd/common/error.hpp"
+#include "gmd/common/logging.hpp"
 #include "gmd/cpusim/workloads.hpp"
+#include "gmd/dse/checkpoint.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/lazy_space.hpp"
 #include "gmd/graph/generators.hpp"
@@ -247,6 +251,89 @@ TEST_F(ExplorerTest, KillAndResumeReachesIdenticalResult) {
     const ExplorerResult result = run_explorer(space, *trace_, resumed);
     expect_same_result(result, uninterrupted);
   }
+  std::filesystem::remove_all(run_dir);
+}
+
+TEST_F(ExplorerTest, EveryRoundsCutResumesToIdenticalResult) {
+  // Crash semantics of rounds.txt pinned at every byte.  A round is
+  // journaled before its simulations run, so when round k's record is
+  // torn no row of round k or later has reached the sweep journal.  The
+  // resume must replay exactly rounds 0..k-1 off the journals, acquire
+  // the rest afresh, and end bit-identical to the uninterrupted run.
+  const LazySpace space = LazySpace::reduced();
+  const std::string run_dir =
+      (std::filesystem::temp_directory_path() /
+       ("gmd_explorer_cut_test_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(run_dir);
+  // Smaller than small_options(): every cut costs one resumed run.
+  ExplorerOptions options = small_options();
+  options.initial_samples = 4;
+  options.batch_size = 2;
+  options.max_rounds = 2;
+  options.simulation_budget = 8;
+  options.top_k = 3;
+  options.run_dir = run_dir;
+  const ExplorerResult reference = run_explorer(space, *trace_, options);
+  ASSERT_EQ(reference.rounds.size(), 3u);
+
+  const std::string rounds_path = run_dir + "/rounds.txt";
+  const std::string journal_path = run_dir + "/sweep.journal";
+  const auto slurp = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string full = slurp(rounds_path);
+  std::vector<std::size_t> ends;
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    if (full[i] == '\n') ends.push_back(i + 1);
+  }
+  ASSERT_EQ(ends.size(), reference.rounds.size() + 1);
+
+  // The sweep journal as it stood when round k's record was torn: the
+  // rows of rounds 0..k-1 only (no file at all for k = 0).
+  const JournalKey key = sweep_identity(
+      {trace_checksum(*trace_), space.checksum(), space.size()},
+      options.sweep);
+  const auto all_rows = SweepJournal(journal_path, key).load();
+  std::vector<std::string> journal_at(reference.rounds.size() + 1);
+  std::set<std::size_t> acquired;
+  for (std::size_t k = 1; k < journal_at.size(); ++k) {
+    for (const std::size_t index : reference.rounds[k - 1].acquired) {
+      acquired.insert(index);
+    }
+    std::filesystem::remove(journal_path);
+    SweepJournal journal(journal_path, key);
+    for (const auto& [index, row] : all_rows) {
+      if (acquired.contains(index)) journal.record(index, row);
+    }
+    journal_at[k] = slurp(journal_path);
+  }
+
+  options.resume = true;
+  log::set_sink([](log::Level, std::string_view) {});
+  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+    SCOPED_TRACE(testing::Message() << "cut at byte " << cut);
+    std::size_t complete = 0;
+    while (complete + 1 < ends.size() && ends[complete + 1] <= cut) {
+      ++complete;
+    }
+    std::ofstream(rounds_path, std::ios::binary | std::ios::trunc)
+        << full.substr(0, cut);
+    std::filesystem::remove(journal_path);
+    if (complete > 0) {
+      std::ofstream(journal_path, std::ios::binary) << journal_at[complete];
+    }
+
+    const ExplorerResult result = run_explorer(space, *trace_, options);
+    expect_same_result(result, reference);
+    for (std::size_t r = 0; r < result.rounds.size(); ++r) {
+      EXPECT_EQ(result.rounds[r].newly_simulated == 0, r < complete)
+          << "round " << r;
+    }
+    EXPECT_EQ(slurp(rounds_path), full);
+  }
+  log::set_sink(nullptr);
   std::filesystem::remove_all(run_dir);
 }
 

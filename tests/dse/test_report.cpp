@@ -1,6 +1,7 @@
 #include "gmd/dse/report.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <sstream>
@@ -75,10 +76,12 @@ TEST_F(ReportTest, MentionsEveryMetricAndModel) {
 
 TEST_F(ReportTest, SavesToFile) {
   const auto path =
-      std::filesystem::temp_directory_path() / "gmd_report_test.md";
+      std::filesystem::temp_directory_path() /
+      ("gmd_report_test_" + std::to_string(::getpid()) + ".md");
   save_markdown_report(path.string(), *result_);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_GT(std::filesystem::file_size(path), 1000u);
+  std::filesystem::remove(path);
 }
 
 TEST(Report, EmptyStudyRejected) {

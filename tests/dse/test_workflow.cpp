@@ -1,6 +1,7 @@
 #include "gmd/dse/workflow.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 
@@ -58,7 +59,8 @@ TEST(Workflow, DeterministicForFixedSeed) {
 
 TEST(Workflow, TraceRoundTripThroughFilesPreservesSweepInputs) {
   WorkflowConfig config = small_config();
-  const auto tmp = std::filesystem::temp_directory_path() / "gmd_wf_trace";
+  const auto tmp = std::filesystem::temp_directory_path() /
+                   ("gmd_wf_trace_" + std::to_string(::getpid()));
   std::filesystem::create_directories(tmp);
   config.trace_dir = tmp.string();
   const WorkflowResult via_files = run_workflow(config);
@@ -73,6 +75,7 @@ TEST(Workflow, TraceRoundTripThroughFilesPreservesSweepInputs) {
             direct.sweep[0].metrics.total_writes);
   EXPECT_TRUE(std::filesystem::exists(tmp / "gem5_trace.txt"));
   EXPECT_TRUE(std::filesystem::exists(tmp / "nvmain_trace.txt"));
+  std::filesystem::remove_all(tmp);
 }
 
 TEST(Workflow, AlternativeWorkloadsRun) {

@@ -1,7 +1,9 @@
 #include "gmd/graph/io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "gmd/common/error.hpp"
@@ -100,12 +102,14 @@ TEST(GraphIo, BinaryRejectsBadMagicAndTruncation) {
 }
 
 TEST(GraphIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/gmd_graph_test.txt";
+  const std::string path = testing::TempDir() + "/gmd_graph_test_" +
+                           std::to_string(::getpid()) + ".txt";
   const EdgeList original = sample_graph();
   save_edge_list(path, original);
   const EdgeList back = load_edge_list(path);
   EXPECT_EQ(back.edges.size(), original.edges.size());
   EXPECT_THROW(load_edge_list("/nonexistent/g.txt"), Error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "gmd/memsim/config_io.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "gmd/common/error.hpp"
@@ -91,12 +93,14 @@ TEST(ConfigIo, ResultIsValidated) {
 }
 
 TEST(ConfigIo, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/gmd_config_test.cfg";
+  const std::string path = testing::TempDir() + "/gmd_config_test_" +
+                           std::to_string(::getpid()) + ".cfg";
   const MemoryConfig original = make_dram_config(2, 400, 2000);
   save_config(path, original);
   const MemoryConfig back = load_config(path);
   EXPECT_EQ(back.channels, original.channels);
   EXPECT_THROW(load_config("/nonexistent/x.cfg"), Error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -11,16 +11,15 @@ namespace gmd::ml {
 namespace {
 
 Dataset make_dataset(std::size_t n) {
-  Dataset d;
   std::vector<std::vector<double>> rows;
+  std::vector<double> y;
   for (std::size_t i = 0; i < n; ++i) {
     rows.push_back({static_cast<double>(i), static_cast<double>(i * i)});
-    d.y.push_back(static_cast<double>(i) * 3.0);
+    y.push_back(static_cast<double>(i) * 3.0);
   }
-  d.X = Matrix::from_rows(rows);
-  d.feature_names = {"a", "b"};
-  d.target_name = "t";
-  return d;
+  // Aggregate init constructs the names in place; assigning a literal
+  // to the default-constructed string trips GCC 12's -Wrestrict.
+  return Dataset{Matrix::from_rows(rows), std::move(y), {"a", "b"}, "t"};
 }
 
 TEST(Dataset, ValidateCatchesMismatch) {

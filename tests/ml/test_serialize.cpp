@@ -1,8 +1,10 @@
 #include "gmd/ml/serialize.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <sstream>
 
 #include "gmd/common/error.hpp"
@@ -62,11 +64,13 @@ TEST(Serialize, FileRoundTrip) {
   sample_data(60, 2, &x, &y);
   const auto model = make_regressor("linear");
   model->fit(x, y);
-  const std::string path = testing::TempDir() + "/gmd_model_test.txt";
+  const std::string path = testing::TempDir() + "/gmd_model_test_" +
+                           std::to_string(::getpid()) + ".txt";
   save_model_file(path, *model);
   const auto restored = load_model_file(path);
   EXPECT_DOUBLE_EQ(restored->predict_one(x.row(0)),
                    model->predict_one(x.row(0)));
+  std::remove(path.c_str());
 }
 
 TEST(Serialize, UnfittedModelRejected) {

@@ -1,7 +1,9 @@
 #include "gmd/trace/converter.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -13,8 +15,15 @@ namespace {
 
 class ConverterTest : public testing::Test {
  protected:
+  void SetUp() override {
+    dir_ = testing::TempDir() + "/gmd_conv_" + std::to_string(::getpid()) +
+           "_" + testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
   std::string path(const std::string& name) const {
-    return testing::TempDir() + "/gmd_conv_" + name;
+    return dir_ + "/" + name;
   }
 
   /// Writes a synthetic gem5 trace with `lines` memory lines and one
@@ -31,6 +40,8 @@ class ConverterTest : public testing::Test {
       out << format_gem5_line(event) << " .\n";
     }
   }
+
+  std::string dir_;
 };
 
 TEST_F(ConverterTest, ConvertsAllMemoryLines) {

@@ -3,7 +3,9 @@
 /// interleaved noise, and unsorted traces.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -15,7 +17,19 @@
 namespace gmd::trace {
 namespace {
 
-TEST(TraceRobustness, Gem5ParserAcceptsCrlfLines) {
+class TraceRobustness : public testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = testing::TempDir() + "/gmd_rob_" + std::to_string(::getpid()) +
+           "_" + testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+};
+
+TEST_F(TraceRobustness, Gem5ParserAcceptsCrlfLines) {
   const MemoryEvent event{10, 0x100, 8, false};
   const std::string line = format_gem5_line(event) + " .\r";
   const auto parsed = parse_gem5_line(line);
@@ -23,14 +37,14 @@ TEST(TraceRobustness, Gem5ParserAcceptsCrlfLines) {
   EXPECT_EQ(*parsed, event);
 }
 
-TEST(TraceRobustness, NvmainParserAcceptsCrlfLines) {
+TEST_F(TraceRobustness, NvmainParserAcceptsCrlfLines) {
   const auto parsed = parse_nvmain_line("10 R 0x100 0x0 0\r");
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->tick, 10u);
 }
 
-TEST(TraceRobustness, ConverterHandlesMissingTrailingNewline) {
-  const std::string dir = testing::TempDir();
+TEST_F(TraceRobustness, ConverterHandlesMissingTrailingNewline) {
+  const std::string& dir = dir_;
   const std::string in_path = dir + "/gmd_rob_in.txt";
   const std::string out_path = dir + "/gmd_rob_out.txt";
   {
@@ -42,8 +56,8 @@ TEST(TraceRobustness, ConverterHandlesMissingTrailingNewline) {
   EXPECT_EQ(stats.events_out, 2u);
 }
 
-TEST(TraceRobustness, ConverterHandlesCrlfFile) {
-  const std::string dir = testing::TempDir();
+TEST_F(TraceRobustness, ConverterHandlesCrlfFile) {
+  const std::string& dir = dir_;
   const std::string in_path = dir + "/gmd_rob_crlf.txt";
   const std::string out_path = dir + "/gmd_rob_crlf_out.txt";
   {
@@ -63,10 +77,10 @@ TEST(TraceRobustness, ConverterHandlesCrlfFile) {
   EXPECT_EQ(read_nvmain_trace(check).size(), 50u);
 }
 
-TEST(TraceRobustness, ConverterChunkBoundaryCannotSplitEvents) {
+TEST_F(TraceRobustness, ConverterChunkBoundaryCannotSplitEvents) {
   // Exhaustive mini-sweep of chunk sizes around line lengths: the
   // output must be identical regardless of chunking.
-  const std::string dir = testing::TempDir();
+  const std::string& dir = dir_;
   const std::string in_path = dir + "/gmd_rob_chunks.txt";
   {
     std::ofstream out(in_path);
@@ -95,8 +109,8 @@ TEST(TraceRobustness, ConverterChunkBoundaryCannotSplitEvents) {
   }
 }
 
-TEST(TraceRobustness, SkippedLineBudgetFailsWithTraceError) {
-  const std::string dir = testing::TempDir();
+TEST_F(TraceRobustness, SkippedLineBudgetFailsWithTraceError) {
+  const std::string& dir = dir_;
   const std::string in_path = dir + "/gmd_rob_budget.txt";
   const std::string out_path = dir + "/gmd_rob_budget_out.txt";
   {
@@ -123,8 +137,8 @@ TEST(TraceRobustness, SkippedLineBudgetFailsWithTraceError) {
   EXPECT_FALSE(check.good());
 }
 
-TEST(TraceRobustness, StrictModeRejectsAnyMalformedLine) {
-  const std::string dir = testing::TempDir();
+TEST_F(TraceRobustness, StrictModeRejectsAnyMalformedLine) {
+  const std::string& dir = dir_;
   const std::string in_path = dir + "/gmd_rob_strict.txt";
   const std::string out_path = dir + "/gmd_rob_strict_out.txt";
   {
@@ -145,8 +159,8 @@ TEST(TraceRobustness, StrictModeRejectsAnyMalformedLine) {
   EXPECT_EQ(stats.quarantined[0], "not a memory record");
 }
 
-TEST(TraceRobustness, QuarantineLimitCapsReportedLines) {
-  const std::string dir = testing::TempDir();
+TEST_F(TraceRobustness, QuarantineLimitCapsReportedLines) {
+  const std::string& dir = dir_;
   const std::string in_path = dir + "/gmd_rob_quarantine.txt";
   const std::string out_path = dir + "/gmd_rob_quarantine_out.txt";
   {
@@ -163,7 +177,7 @@ TEST(TraceRobustness, QuarantineLimitCapsReportedLines) {
   EXPECT_EQ(stats.quarantined[2], "bad 2");
 }
 
-TEST(TraceRobustness, UnsortedTraceRejectedWithClearError) {
+TEST_F(TraceRobustness, UnsortedTraceRejectedWithClearError) {
   // The memory system requires tick-ordered input (as NVMain's trace
   // reader does); feeding a shuffled trace must fail loudly, not
   // corrupt statistics.
@@ -172,7 +186,7 @@ TEST(TraceRobustness, UnsortedTraceRejectedWithClearError) {
   EXPECT_THROW(system.enqueue_event({50, 0x140, 64, false}), Error);
 }
 
-TEST(TraceRobustness, EqualTicksAreAccepted) {
+TEST_F(TraceRobustness, EqualTicksAreAccepted) {
   memsim::MemorySystem system(memsim::make_dram_config(1, 400, 2000));
   system.enqueue_event({100, 0x100, 64, false});
   system.enqueue_event({100, 0x140, 64, true});

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <filesystem>
@@ -19,8 +20,15 @@ using cpusim::MemoryEvent;
 
 class GmdtCorruption : public testing::Test {
  protected:
+  void SetUp() override {
+    dir_ = testing::TempDir() + "/gmd_store_corrupt_" + std::to_string(::getpid()) +
+           "_" + testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
   std::string path(const std::string& name) const {
-    return testing::TempDir() + "/gmd_corrupt_" + name;
+    return dir_ + "/" + name;
   }
 
   /// Writes a healthy multi-chunk store and returns its path.
@@ -60,6 +68,8 @@ class GmdtCorruption : public testing::Test {
           << "message was: " << e.what();
     }
   }
+
+  std::string dir_;
 };
 
 TEST_F(GmdtCorruption, RejectsBadMagic) {
@@ -134,9 +144,6 @@ TEST_F(GmdtCorruption, RejectsTruncationAtEveryBoundary) {
 
 TEST_F(GmdtCorruption, UnclosedWriterNeverPublishesTheTarget) {
   const auto file = path("unclosed.gmdt");
-  // TempDir() persists across runs; a published file from a previous
-  // invocation must not masquerade as a mid-write publish.
-  std::filesystem::remove(file);
   {
     TraceStoreWriter writer(file);
     writer.on_event(MemoryEvent{1, 64, 8, false});

@@ -1,7 +1,9 @@
 #include "gmd/tracestore/mapped_file.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -12,7 +14,8 @@ namespace gmd::tracestore {
 namespace {
 
 std::string temp_path(const std::string& name) {
-  return testing::TempDir() + "/gmd_map_" + name;
+  return testing::TempDir() + "/gmd_map_" + std::to_string(::getpid()) + "_" +
+         name;
 }
 
 void write_file(const std::string& path, const std::string& content) {
@@ -30,6 +33,7 @@ TEST(MappedFile, ExposesFileBytes) {
                         file.size()),
             "hello mapping");
   EXPECT_EQ(file.path(), path);
+  std::remove(path.c_str());
 }
 
 TEST(MappedFile, EmptyFileIsValidAndZeroLength) {
@@ -38,6 +42,7 @@ TEST(MappedFile, EmptyFileIsValidAndZeroLength) {
   MappedFile file(path);
   EXPECT_TRUE(file.is_open());
   EXPECT_EQ(file.size(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(MappedFile, MissingFileThrowsIoError) {
@@ -63,6 +68,7 @@ TEST(MappedFile, MoveTransfersOwnership) {
   EXPECT_FALSE(b.is_open());  // NOLINT(bugprone-use-after-move)
   ASSERT_TRUE(c.is_open());
   EXPECT_EQ(c.view().size(), 3u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -34,8 +36,15 @@ void expect_events_equal(const std::vector<MemoryEvent>& got,
 
 class GmdtRoundTrip : public testing::Test {
  protected:
+  void SetUp() override {
+    dir_ = testing::TempDir() + "/gmd_store_" + std::to_string(::getpid()) +
+           "_" + testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
   std::string path(const std::string& name) const {
-    return testing::TempDir() + "/gmd_store_" + name;
+    return dir_ + "/" + name;
   }
 
   std::string write_store(const std::string& name,
@@ -63,6 +72,8 @@ class GmdtRoundTrip : public testing::Test {
     }
     return events;
   }
+
+  std::string dir_;
 };
 
 TEST_F(GmdtRoundTrip, EmptyTrace) {

@@ -23,11 +23,26 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return rows_ == 0 || cols_ == 0; }
 
-  double& at(std::size_t r, std::size_t c);
-  double at(std::size_t r, std::size_t c) const;
+  // The accessors are inline so hot loops compile to plain loads that
+  // can vectorize; the range check stays on in every build type and
+  // throws gmd::Error from an out-of-line cold path.
+  double& at(std::size_t r, std::size_t c) {
+    check(r, c);
+    return data_[r * cols_ + c];
+  }
+  double at(std::size_t r, std::size_t c) const {
+    check(r, c);
+    return data_[r * cols_ + c];
+  }
 
-  std::span<const double> row(std::size_t r) const;
-  std::span<double> row(std::size_t r);
+  std::span<const double> row(std::size_t r) const {
+    check_row(r);
+    return {data_.data() + r * cols_, cols_};
+  }
+  std::span<double> row(std::size_t r) {
+    check_row(r);
+    return {data_.data() + r * cols_, cols_};
+  }
 
   /// Returns a new matrix holding the selected rows (e.g. a bootstrap
   /// sample or a train/test partition).
@@ -51,6 +66,19 @@ class Matrix {
   std::vector<double> transpose_multiply(std::span<const double> v) const;
 
  private:
+  /// Throws gmd::Error with GMD_ASSERT's text for `what`; out of line,
+  /// so this header need not pull in error.hpp.
+  [[noreturn]] static void throw_out_of_range(const char* what);
+
+  void check(std::size_t r, std::size_t c) const {
+    if (r >= rows_ || c >= cols_) [[unlikely]]
+      throw_out_of_range("matrix index out of range");
+  }
+  void check_row(std::size_t r) const {
+    if (r >= rows_) [[unlikely]]
+      throw_out_of_range("row index out of range");
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;

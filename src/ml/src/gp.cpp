@@ -40,12 +40,14 @@ void GaussianProcess::fit(const Matrix& x, std::span<const double> y) {
 
   Matrix k(n, n);
   for (std::size_t i = 0; i < n; ++i) {
+    const auto xi = x.row(i);
+    double* ki = k.row(i).data();
     for (std::size_t j = i; j < n; ++j) {
-      const double v = kernel(params_.kernel, x.row(i), x.row(j));
-      k.at(i, j) = v;
+      const double v = kernel(params_.kernel, xi, x.row(j));
+      ki[j] = v;
       k.at(j, i) = v;
     }
-    k.at(i, i) += params_.noise;
+    ki[i] += params_.noise;
   }
   chol_ = cholesky(std::move(k));
   chol_t_ = chol_.transposed();

@@ -22,24 +22,8 @@ Matrix Matrix::from_rows(const std::vector<std::vector<double>>& rows) {
   return m;
 }
 
-double& Matrix::at(std::size_t r, std::size_t c) {
-  GMD_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
-double Matrix::at(std::size_t r, std::size_t c) const {
-  GMD_ASSERT(r < rows_ && c < cols_, "matrix index out of range");
-  return data_[r * cols_ + c];
-}
-
-std::span<const double> Matrix::row(std::size_t r) const {
-  GMD_ASSERT(r < rows_, "row index out of range");
-  return {data_.data() + r * cols_, cols_};
-}
-
-std::span<double> Matrix::row(std::size_t r) {
-  GMD_ASSERT(r < rows_, "row index out of range");
-  return {data_.data() + r * cols_, cols_};
+void Matrix::throw_out_of_range(const char* what) {
+  GMD_ASSERT(false, what);
 }
 
 Matrix Matrix::gather_rows(std::span<const std::size_t> indices) const {
@@ -127,18 +111,20 @@ Matrix cholesky(Matrix a) {
   GMD_REQUIRE(a.rows() == a.cols(), "cholesky needs a square matrix");
   const std::size_t n = a.rows();
   for (std::size_t j = 0; j < n; ++j) {
-    double d = a.at(j, j);
-    for (std::size_t k = 0; k < j; ++k) d -= a.at(j, k) * a.at(j, k);
+    double* aj = a.row(j).data();
+    double d = aj[j];
+    for (std::size_t k = 0; k < j; ++k) d -= aj[k] * aj[k];
     GMD_REQUIRE(d > 0.0, "matrix is not positive definite (pivot " << j
                                                                    << ")");
     const double l = std::sqrt(d);
-    a.at(j, j) = l;
+    aj[j] = l;
     for (std::size_t i = j + 1; i < n; ++i) {
-      double s = a.at(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= a.at(i, k) * a.at(j, k);
-      a.at(i, j) = s / l;
+      double* ai = a.row(i).data();
+      double s = ai[j];
+      for (std::size_t k = 0; k < j; ++k) s -= ai[k] * aj[k];
+      ai[j] = s / l;
     }
-    for (std::size_t c = j + 1; c < n; ++c) a.at(j, c) = 0.0;  // zero upper
+    for (std::size_t c = j + 1; c < n; ++c) aj[c] = 0.0;  // zero upper
   }
   return a;
 }
@@ -149,9 +135,10 @@ std::vector<double> cholesky_solve_factored(const Matrix& l,
   GMD_REQUIRE(b.size() == n, "rhs size mismatch");
   std::vector<double> y(n);
   for (std::size_t i = 0; i < n; ++i) {
+    const double* li = l.row(i).data();
     double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l.at(i, k) * y[k];
-    y[i] = s / l.at(i, i);
+    for (std::size_t k = 0; k < i; ++k) s -= li[k] * y[k];
+    y[i] = s / li[i];
   }
   std::vector<double> x(n);
   for (std::size_t ii = n; ii > 0; --ii) {

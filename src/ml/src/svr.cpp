@@ -26,15 +26,18 @@ void Svr::fit(const Matrix& x, std::span<const double> y) {
   // Gram matrix with the bias folded in: K~ = K + 1.
   Matrix k(n, n);
   for (std::size_t i = 0; i < n; ++i) {
+    const auto xi = x.row(i);
+    double* ki = k.row(i).data();
     for (std::size_t j = i; j < n; ++j) {
-      const double v = kernel(params_.kernel, x.row(i), x.row(j)) + 1.0;
-      k.at(i, j) = v;
+      const double v = kernel(params_.kernel, xi, x.row(j)) + 1.0;
+      ki[j] = v;
       k.at(j, i) = v;
     }
   }
 
   // f_i = sum_j beta_j K~(i, j), maintained incrementally.
   std::vector<double> f(n, 0.0);
+  double* const fd = f.data();
 
   // Coordinate descent with soft-thresholding: for coordinate i the
   // objective restricted to beta_i is
@@ -44,7 +47,8 @@ void Svr::fit(const Matrix& x, std::span<const double> y) {
   for (unsigned pass = 0; pass < params_.max_passes; ++pass) {
     double max_delta = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double kii = k.at(i, i);
+      const double* ki = k.row(i).data();
+      const double kii = ki[i];
       GMD_ASSERT(kii > 0.0, "kernel diagonal must be positive");
       const double g = f[i] - beta_[i] * kii - y[i];
       double b_new;
@@ -59,7 +63,10 @@ void Svr::fit(const Matrix& x, std::span<const double> y) {
       const double delta = b_new - beta_[i];
       if (delta != 0.0) {
         beta_[i] = b_new;
-        for (std::size_t j = 0; j < n; ++j) f[j] += delta * k.at(i, j);
+        // Plain pointers keep this update free of calls and range
+        // checks, so it vectorizes; each f[j] still gets one multiply
+        // and one add, in the same order.
+        for (std::size_t j = 0; j < n; ++j) fd[j] += delta * ki[j];
         max_delta = std::max(max_delta, std::abs(delta));
       }
     }

@@ -17,20 +17,22 @@ TrainingWorkspace TrainingWorkspace::build(const Matrix& x) {
   ws.values_.resize(ws.features_);
   const std::size_t n = ws.rows_;
   for (std::size_t f = 0; f < ws.features_; ++f) {
+    // One strided gather, so the comparator reads a dense column.
+    const std::vector<double> column = x.column(f);
     auto& order = ws.order_[f];
     order.resize(n);
     std::iota(order.begin(), order.end(), std::uint32_t{0});
     // Ascending (value, row): ties break on the row index, matching the
     // total order std::sort imposes on (value, index) pairs.
     std::sort(order.begin(), order.end(),
-              [&x, f](std::uint32_t a, std::uint32_t b) {
-                const double va = x.at(a, f);
-                const double vb = x.at(b, f);
+              [&column](std::uint32_t a, std::uint32_t b) {
+                const double va = column[a];
+                const double vb = column[b];
                 return va < vb || (va == vb && a < b);
               });
     auto& values = ws.values_[f];
     values.resize(n);
-    for (std::size_t i = 0; i < n; ++i) values[i] = x.at(order[i], f);
+    for (std::size_t i = 0; i < n; ++i) values[i] = column[order[i]];
   }
   return ws;
 }

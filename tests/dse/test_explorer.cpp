@@ -11,6 +11,7 @@
 #include <fstream>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gmd/common/error.hpp"
@@ -225,7 +226,8 @@ TEST_F(ExplorerTest, AcquisitionModesAndModelsRun) {
 TEST_F(ExplorerTest, KillAndResumeReachesIdenticalResult) {
   const LazySpace space = LazySpace::reduced();
   const std::string run_dir =
-      (std::filesystem::temp_directory_path() / "gmd_explorer_resume_test")
+      (std::filesystem::temp_directory_path() /
+       ("gmd_explorer_resume_test_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(run_dir);
 
@@ -339,7 +341,8 @@ TEST_F(ExplorerTest, EveryRoundsCutResumesToIdenticalResult) {
 
 TEST_F(ExplorerTest, ResumeRefusesForeignJournal) {
   const std::string run_dir =
-      (std::filesystem::temp_directory_path() / "gmd_explorer_identity_test")
+      (std::filesystem::temp_directory_path() /
+       ("gmd_explorer_identity_test_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(run_dir);
   ExplorerOptions options = small_options();

@@ -5,10 +5,12 @@
 /// identity.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "gmd/cpusim/workloads.hpp"
 #include "gmd/dse/config_space.hpp"
@@ -176,7 +178,8 @@ TEST(SampledSweep, TableRoundTripsIntervals) {
 TEST(SampledSweep, StoreFeedSamplesNativeChunks) {
   const auto events = phased_trace();
   const std::string store_path =
-      testing::TempDir() + "/gmd_sampled_store.gmdt";
+      testing::TempDir() + "/gmd_sampled_store_" +
+      std::to_string(::getpid()) + ".gmdt";
   std::filesystem::remove(store_path);
   tracestore::TraceStoreWriterOptions wopts;
   wopts.events_per_chunk = 1000;
@@ -209,7 +212,8 @@ TEST(SampledSweep, JournalRestoresIntervalsAndKeysOnSamplingParams) {
   const auto trace = phased_trace();
   const auto points = sampling_points();
   const std::string journal_path =
-      testing::TempDir() + "/gmd_sampled_journal.txt";
+      testing::TempDir() + "/gmd_sampled_journal_" +
+      std::to_string(::getpid()) + ".txt";
   std::filesystem::remove(journal_path);
 
   SweepOptions options;

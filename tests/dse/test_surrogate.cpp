@@ -1,6 +1,7 @@
 #include "gmd/dse/surrogate.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
@@ -141,7 +142,8 @@ TEST_F(SurrogateTest, BatchPredictOnEmptySpanIsEmpty) {
 TEST_F(SurrogateTest, DeployedModelFileRoundTripPredictsIdentically) {
   // A .gmdm artifact (model + both scalers) loads back into a deployment
   // that predicts bit-identically — the model registry's load path.
-  const std::string path = testing::TempDir() + "/gmd_deployed_rt.gmdm";
+  const std::string path = testing::TempDir() + "/gmd_deployed_rt_" +
+                           std::to_string(::getpid()) + ".gmdm";
   for (const std::string model : {"linear", "gb"}) {
     const auto deployed =
         SurrogateSuite::deploy(*rows_, "bandwidth_mbs", model);

@@ -3,11 +3,13 @@
 /// SweepOptions::fault_hook so every path is deterministic.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "gmd/common/deadline.hpp"
@@ -246,7 +248,8 @@ TEST(SweepFaults, CheckpointResumeIsBitIdenticalAndSimulatesOnlyTheRest) {
   const auto trace = small_trace();
   const auto points = small_space();
   const std::string journal_path =
-      testing::TempDir() + "/gmd_sweep_resume.journal";
+      testing::TempDir() + "/gmd_sweep_resume_" +
+      std::to_string(::getpid()) + ".journal";
   std::remove(journal_path.c_str());
 
   // Reference: clean uninterrupted sweep, default options.
@@ -298,7 +301,8 @@ TEST(SweepFaults, ResumeIgnoresJournalFromDifferentTrace) {
   const auto trace = small_trace();
   const auto points = small_space();
   const std::string journal_path =
-      testing::TempDir() + "/gmd_sweep_mismatch.journal";
+      testing::TempDir() + "/gmd_sweep_mismatch_" +
+      std::to_string(::getpid()) + ".journal";
   std::remove(journal_path.c_str());
 
   SweepOptions write;
@@ -337,7 +341,8 @@ TEST(SweepFaults, ResumeIgnoresJournalFromDifferentPointList) {
   const auto trace = small_trace();
   const auto points = small_space();
   const std::string journal_path =
-      testing::TempDir() + "/gmd_sweep_points_mismatch.journal";
+      testing::TempDir() + "/gmd_sweep_points_mismatch_" +
+      std::to_string(::getpid()) + ".journal";
   std::remove(journal_path.c_str());
 
   SweepOptions write;
@@ -361,7 +366,8 @@ TEST(SweepFaults, ResumeWithMissingJournalStartsFresh) {
   const auto trace = small_trace();
   const auto points = small_space();
   const std::string journal_path =
-      testing::TempDir() + "/gmd_sweep_fresh.journal";
+      testing::TempDir() + "/gmd_sweep_fresh_" +
+      std::to_string(::getpid()) + ".journal";
   std::remove(journal_path.c_str());
   SweepOptions options;
   options.checkpoint_path = journal_path;

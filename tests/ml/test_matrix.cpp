@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "gmd/common/error.hpp"
@@ -31,6 +32,45 @@ TEST(Matrix, RowSpanViewsData) {
   EXPECT_DOUBLE_EQ(r[0], 3.0);
   m.row(1)[0] = 9.0;
   EXPECT_DOUBLE_EQ(m.at(1, 0), 9.0);
+}
+
+// The accessors are inline with a range check that stays on in every
+// build type; a bad row or column throws gmd::Error from either
+// overload, with the text GMD_ASSERT gives it.
+TEST(Matrix, OutOfRangeAccessThrows) {
+  Matrix m(2, 3);
+  const Matrix& cm = m;
+  EXPECT_THROW((void)m.at(2, 0), Error);
+  EXPECT_THROW((void)m.at(0, 3), Error);
+  EXPECT_THROW((void)cm.at(2, 0), Error);
+  EXPECT_THROW((void)cm.at(0, 3), Error);
+  EXPECT_THROW((void)m.row(2), Error);
+  EXPECT_THROW((void)cm.row(2), Error);
+  EXPECT_NO_THROW((void)m.at(1, 2));
+  EXPECT_NO_THROW((void)cm.row(1));
+
+  const Matrix empty;
+  EXPECT_THROW((void)empty.at(0, 0), Error);
+  EXPECT_THROW((void)empty.row(0), Error);
+
+  try {
+    (void)cm.at(0, 3);
+    FAIL() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "internal invariant violated: matrix index out of range"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    (void)m.row(5);
+    FAIL() << "expected a throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "internal invariant violated: row index out of range"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Matrix, GatherRows) {

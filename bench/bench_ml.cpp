@@ -1,11 +1,10 @@
 /// \file bench_ml.cpp
 /// Surrogate-training gauge: times random-forest and gradient-boosting
 /// fits with the shared presorted workspace engine against the
-/// reference per-node-sort engine, batch inference against per-row
-/// predict_one, and parallel grid search against the serial path, then
-/// prints the numbers as JSON (redirect to BENCH_ml.json to record a
-/// run).  Pass --quick for a seconds-scale smoke run (same JSON shape,
-/// smaller dataset, single repetition).
+/// reference per-node-sort engine and batch inference against per-row
+/// predict_one, then prints the numbers as JSON (redirect to
+/// BENCH_ml.json to record a run).  Pass --quick for a seconds-scale
+/// smoke run (same JSON shape, smaller dataset, single repetition).
 
 #include <algorithm>
 #include <cmath>
@@ -15,10 +14,8 @@
 #include <vector>
 
 #include "gmd/common/rng.hpp"
-#include "gmd/dse/config_space.hpp"
 #include "gmd/ml/forest.hpp"
 #include "gmd/ml/gbt.hpp"
-#include "gmd/ml/model_selection.hpp"
 #include "support.hpp"
 
 namespace {
@@ -29,26 +26,6 @@ struct BenchData {
   ml::Matrix x;
   std::vector<double> y;
 };
-
-/// The 416-configuration paper design space with a deterministic
-/// nonlinear response over the numeric feature encoding — the exact
-/// matrix shape SurrogateSuite trains on.
-BenchData paper_data() {
-  BenchData data;
-  std::vector<std::vector<double>> rows;
-  for (const dse::DesignPoint& point : dse::paper_design_space()) {
-    std::vector<double> f = point.features();
-    double response = 0.0;
-    for (std::size_t c = 0; c < f.size(); ++c) {
-      response += std::sin(f[c] * 0.001 + static_cast<double>(c)) +
-                  0.3 * f[c] * f[(c + 1) % f.size()] * 1e-6;
-    }
-    data.y.push_back(response);
-    rows.push_back(std::move(f));
-  }
-  data.x = ml::Matrix::from_rows(rows);
-  return data;
-}
 
 /// Mixed continuous/grid features like real sweep matrices, scaled to
 /// the row count where workspace reuse pays off.
@@ -93,7 +70,6 @@ int main(int argc, char** argv) {
   const std::size_t predict_reps = quick ? 2 : 10;
   const std::size_t threads = std::max(1u, std::thread::hardware_concurrency());
 
-  const BenchData paper = paper_data();
   const BenchData big = synthetic_data(synthetic_rows);
   double checksum = 0.0;
 
@@ -173,35 +149,10 @@ int main(int argc, char** argv) {
     checksum += out.back();
   });
 
-  // --- Parallel model selection on the paper-scale dataset -----------
-  ml::Dataset grid_data;
-  grid_data.X = paper.x;
-  grid_data.y = paper.y;
-  grid_data.feature_names.assign(paper.x.cols(), "f");
-  grid_data.target_name = "response";
-  const std::vector<double> cs{1.0, 10.0, 100.0};
-  const std::vector<double> gammas{0.25, 1.0};
-  const std::vector<double> epsilons{0.01, 0.1};
-  ml::CvOptions serial;
-  serial.num_threads = 1;
-  const double grid_serial = best_seconds(fit_reps, [&] {
-    const auto result =
-        ml::grid_search_svr(grid_data, cs, gammas, epsilons, serial);
-    checksum += result.best().scores.mean_mse();
-  });
-  ml::CvOptions parallel;
-  parallel.num_threads = threads;
-  const double grid_parallel = best_seconds(fit_reps, [&] {
-    const auto result =
-        ml::grid_search_svr(grid_data, cs, gammas, epsilons, parallel);
-    checksum += result.best().scores.mean_mse();
-  });
-
   const double rows = static_cast<double>(big.x.rows());
   std::printf("{\n");
   std::printf("  \"quick\": %s,\n", quick ? "true" : "false");
   std::printf("  \"threads\": %zu,\n", threads);
-  std::printf("  \"paper_rows\": %zu,\n", paper.x.rows());
   std::printf("  \"synthetic_rows\": %zu,\n", big.x.rows());
   std::printf("  \"forest_fit_reference_seconds\": %.3f,\n", forest_reference);
   std::printf("  \"forest_fit_workspace_seconds\": %.3f,\n", forest_workspace);
@@ -225,10 +176,6 @@ int main(int argc, char** argv) {
               rows / gbt_predict_batch);
   std::printf("  \"gbt_batch_predict_speedup\": %.2f,\n",
               gbt_predict_per_row / gbt_predict_batch);
-  std::printf("  \"grid_search_serial_seconds\": %.3f,\n", grid_serial);
-  std::printf("  \"grid_search_parallel_seconds\": %.3f,\n", grid_parallel);
-  std::printf("  \"grid_search_speedup\": %.2f,\n",
-              grid_serial / grid_parallel);
   std::printf("  \"checksum\": %.6g\n", checksum);
   std::printf("}\n");
   return 0;

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "gmd/dse/dataset_builder.hpp"
 #include "gmd/dse/sensitivity.hpp"
 #include "support.hpp"
 

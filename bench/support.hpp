@@ -18,18 +18,14 @@
 #include "gmd/cpusim/memory_event.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/sweep.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 
 namespace gmd::bench {
 
 inline std::vector<cpusim::MemoryEvent> paper_trace(
     std::uint32_t vertices = 1024, const std::string& workload = "bfs") {
-  dse::WorkflowConfig config;
-  config.graph_vertices = vertices;
-  config.edge_factor = 16;
-  config.workload = workload;
-  config.seed = 1;
-  return dse::generate_workload_trace(config);
+  return dse::generate_workload_trace(
+      {.graph_vertices = vertices, .workload = workload});
 }
 
 inline std::vector<dse::SweepRow> paper_sweep(

@@ -13,7 +13,7 @@
 #include "gmd/common/error.hpp"
 #include "gmd/dse/active_learning.hpp"
 #include "gmd/dse/config_space.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 
 int main(int argc, char** argv) {
   using namespace gmd;
@@ -30,10 +30,9 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    dse::WorkflowConfig config;
-    config.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
-    config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    const auto trace = dse::generate_workload_trace(config);
+    const auto trace = dse::generate_workload_trace(
+        {.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices")),
+         .seed = static_cast<std::uint64_t>(cli.get_int("seed"))});
 
     // Oracle: pre-simulate the whole (reduced) space, then hide labels.
     const auto all = dse::run_sweep(dse::reduced_design_space(), trace);

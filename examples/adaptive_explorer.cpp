@@ -40,7 +40,7 @@
 #include "gmd/dse/explorer.hpp"
 #include "gmd/dse/lazy_space.hpp"
 #include "gmd/dse/sweep.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 
 namespace {
 
@@ -152,13 +152,13 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    dse::WorkflowConfig config;
-    config.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
-    config.workload = cli.get_string("workload");
-    const auto trace = dse::generate_workload_trace(config);
+    dse::WorkloadSpec spec;
+    spec.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
+    spec.workload = cli.get_string("workload");
+    const auto trace = dse::generate_workload_trace(spec);
 
     const dse::LazySpace space = build_space(cli.get_string("space"));
-    std::cout << "workload '" << config.workload << "': " << trace.size()
+    std::cout << "workload '" << spec.workload << "': " << trace.size()
               << " events; space '" << cli.get_string("space") << "': "
               << space.size() << " points\n";
 

@@ -47,7 +47,7 @@
 #include "gmd/dse/distributed.hpp"
 #include "gmd/dse/lazy_space.hpp"
 #include "gmd/dse/sweep.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 #include "gmd/trace/converter.hpp"
 #include "gmd/trace/formats.hpp"
 #include "gmd/tracestore/reader.hpp"
@@ -170,11 +170,11 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    dse::WorkflowConfig config;
-    config.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
-    config.workload = cli.get_string("workload");
-    const auto trace = dse::generate_workload_trace(config);
-    std::cout << "workload '" << config.workload << "': " << trace.size()
+    dse::WorkloadSpec spec;
+    spec.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
+    spec.workload = cli.get_string("workload");
+    const auto trace = dse::generate_workload_trace(spec);
+    std::cout << "workload '" << spec.workload << "': " << trace.size()
               << " memory events\n\n";
 
     const auto points = build_points(

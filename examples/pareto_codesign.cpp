@@ -12,7 +12,7 @@
 #include "gmd/common/error.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/pareto.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 
 int main(int argc, char** argv) {
   using namespace gmd;
@@ -24,10 +24,9 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    dse::WorkflowConfig config;
-    config.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
-    config.workload = cli.get_string("workload");
-    const auto trace = dse::generate_workload_trace(config);
+    const auto trace = dse::generate_workload_trace(
+        {.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices")),
+         .workload = cli.get_string("workload")});
     const auto rows = dse::run_sweep(dse::reduced_design_space(), trace);
 
     const std::vector<dse::Objective> objectives = {

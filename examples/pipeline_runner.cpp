@@ -9,6 +9,11 @@
 ///   pipeline_runner --out-dir run1                  # full run
 ///   pipeline_runner --out-dir run1 --resume         # all stages skip
 ///
+/// The paper's full study is `--space paper --vertices 1024
+/// --edge-factor 16`.  `--report PATH` additionally renders a markdown
+/// study report from the run's sweep.csv, retraining the surrogates
+/// exactly as the train stage does (so its scores are table1.txt's).
+///
 /// Fault injection for resilience testing (used by scripts/check.sh and
 /// CI): `--kill-stage NAME` SIGKILL-exits the process right before that
 /// stage runs; `--kill-after-points N` kills mid-sweep after N points
@@ -19,7 +24,7 @@
 /// Usage: pipeline_runner [--out-dir DIR] [--vertices N] [--workload W]
 ///          [--resume] [--stage-budget-ms MS] [--deadline-ms MS]
 ///          [--kill-stage NAME] [--kill-after-points N]
-///          [--fail-stage NAME] [--summary-only]
+///          [--fail-stage NAME] [--report PATH] [--summary-only]
 
 #include <atomic>
 #include <chrono>
@@ -28,8 +33,11 @@
 #include <memory>
 
 #include "gmd/common/cli.hpp"
+#include "gmd/common/csv.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/dse/config_space.hpp"
+#include "gmd/dse/dataset_builder.hpp"
+#include "gmd/dse/report.hpp"
 #include "gmd/pipeline/pipeline.hpp"
 
 int main(int argc, char** argv) {
@@ -62,6 +70,8 @@ int main(int argc, char** argv) {
                   "chunk-sampled sweep: fraction of store chunks per point "
                   "(1.0 = exhaustive; changes the sweep stage identity)")
       .add_option("sample-seed", "1", "seed of the sampled chunk subset")
+      .add_option("report", "",
+                  "also write a markdown study report to this path")
       .add_flag("resume", "skip stages whose manifest entries verify")
       .add_flag("summary-only", "print only the one-line stage summary");
   try {
@@ -140,6 +150,15 @@ int main(int argc, char** argv) {
     }
 
     const pipeline::PipelineResult result = pipeline::run_pipeline(options);
+    const std::string report_path = cli.get_string("report");
+    if (!report_path.empty()) {
+      const std::vector<dse::SweepRow> rows =
+          dse::table_to_sweep(CsvTable::load(result.sweep_csv));
+      dse::SurrogateOptions surrogate = options.surrogate;
+      surrogate.skip_failed_metrics = true;  // as the train stage runs
+      dse::save_markdown_report(report_path, rows,
+                                dse::SurrogateSuite::train(rows, surrogate));
+    }
     std::cout << result.summary() << "\n";
     if (!cli.get_flag("summary-only")) {
       std::cout << "artifacts:\n"
@@ -149,6 +168,9 @@ int main(int argc, char** argv) {
                 << "  table I:         " << result.table1_path << "\n"
                 << "  recommendations: " << result.recommendations_path
                 << "\n";
+      if (!report_path.empty()) {
+        std::cout << "  study report:    " << report_path << "\n";
+      }
     }
     return 0;
   } catch (const Error& e) {

@@ -1,19 +1,25 @@
 /// \file quickstart.cpp
-/// Minimal end-to-end tour of the graphmemdse public API:
-///   1. generate the paper's workload graph (GTGraph random model),
-///   2. run Graph500-style BFS on the atomic CPU to obtain a memory trace,
+/// Minimal end-to-end tour of the co-design workflow (Fig. 1), run by
+/// pipeline::run_pipeline into ./quickstart-out:
+///   1. generate the paper's workload graph (GTGraph random model) and
+///      run Graph500-style BFS on the atomic CPU for a memory trace,
+///   2. pack the trace into a GMDT store,
 ///   3. sweep a small memory design space with the cycle-level simulator,
 ///   4. train surrogate models and print Table-I-style scores,
 ///   5. print co-design recommendations.
 ///
+/// The paper's full 416-point study is the same pipeline at scale:
+/// `pipeline_runner --space paper --vertices 1024 --edge-factor 16`.
+///
 /// Usage: quickstart [--vertices N] [--edge-factor K] [--seed S]
 
+#include <fstream>
 #include <iostream>
 
 #include "gmd/common/cli.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/dse/config_space.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/pipeline/pipeline.hpp"
 
 int main(int argc, char** argv) {
   using namespace gmd;
@@ -25,16 +31,20 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    dse::WorkflowConfig config;
-    config.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
-    config.edge_factor = static_cast<unsigned>(cli.get_int("edge-factor"));
-    config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-    // A reduced 96-point space keeps the demo quick; swap in
-    // paper_design_space() for the full 416-point study.
-    config.design_points = dse::reduced_design_space();
+    pipeline::PipelineOptions options;
+    options.out_dir = "quickstart-out";
+    options.graph_vertices =
+        static_cast<std::uint32_t>(cli.get_int("vertices"));
+    options.edge_factor = static_cast<unsigned>(cli.get_int("edge-factor"));
+    options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    // A reduced 96-point space keeps the demo quick; leave design_points
+    // empty for the full 416-point paper space.
+    options.design_points = dse::reduced_design_space();
 
-    const dse::WorkflowResult result = dse::run_workflow(config);
-    std::cout << result.report();
+    const pipeline::PipelineResult result = pipeline::run_pipeline(options);
+    std::cout << result.summary() << "\n\n"
+              << std::ifstream(result.table1_path).rdbuf() << "\n"
+              << std::ifstream(result.recommendations_path).rdbuf();
     return 0;
   } catch (const Error& e) {
     std::cerr << "error [" << to_string(e.code()) << "]: " << e.what()

@@ -14,7 +14,7 @@
 #include "gmd/common/error.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/dataset_builder.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 #include "gmd/ml/serialize.hpp"
 
 int main(int argc, char** argv) {
@@ -29,9 +29,8 @@ int main(int argc, char** argv) {
     std::filesystem::create_directories(dir);
 
     // Phase 1: simulate and train (the expensive part).
-    dse::WorkflowConfig config;
-    config.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
-    const auto trace = dse::generate_workload_trace(config);
+    const auto trace = dse::generate_workload_trace(
+        {.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"))});
     const auto rows = dse::run_sweep(dse::reduced_design_space(), trace);
     dse::sweep_to_table(rows).save((dir / "dataset.csv").string());
 

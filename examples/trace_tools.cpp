@@ -28,7 +28,7 @@
 #include "gmd/common/cli.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/common/thread_pool.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 #include "gmd/trace/converter.hpp"
 #include "gmd/trace/formats.hpp"
 #include "gmd/trace/stats.hpp"
@@ -214,10 +214,9 @@ int run_pipeline(int argc, char** argv) {
       .add_option("threads", "0", "converter threads (0 = all cores)");
   if (!cli.parse(argc, argv)) return 0;
 
-  dse::WorkflowConfig config;
-  config.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"));
-  config.workload = cli.get_string("workload");
-  const auto events = dse::generate_workload_trace(config);
+  const auto events = dse::generate_workload_trace(
+      {.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices")),
+       .workload = cli.get_string("workload")});
 
   const std::filesystem::path dir(cli.get_string("out-dir"));
   std::filesystem::create_directories(dir);

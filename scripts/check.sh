@@ -65,6 +65,10 @@ if "$BUILD_DIR/examples/pipeline_runner" --vertices 96 \
 fi
 "$BUILD_DIR/examples/pipeline_runner" --vertices 96 --out-dir "$PIPE_KILLED" \
   --resume --summary-only
+# The markdown study report, retrained from the recovered sweep.csv.
+"$BUILD_DIR/examples/pipeline_runner" --vertices 96 --out-dir "$PIPE_KILLED" \
+  --resume --summary-only --report "$SMOKE_DIR/study.md"
+grep -q '## Surrogate model scores' "$SMOKE_DIR/study.md"
 # The recovered artifacts must be bit-identical to the uninterrupted run,
 # and no uncommitted temp file may survive.
 cmp "$PIPE_REF/sweep.csv" "$PIPE_KILLED/sweep.csv"

@@ -242,8 +242,8 @@ memsim::PredecodedTrace predecode(const memsim::MemoryConfig& config,
 memsim::MemoryMetrics simulate_point(
     const DesignPoint& point, std::span<const cpusim::MemoryEvent> trace);
 
-/// Outcome tallies over a sweep's rows — the health section of
-/// WorkflowResult::report().
+/// Outcome tallies over a sweep's rows — the "sweep" part of
+/// PipelineResult::summary().
 struct SweepHealth {
   std::size_t total = 0;
   std::size_t ok = 0;

@@ -7,7 +7,7 @@
 #include "gmd/common/string_util.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/sweep.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 #include "gmd/ml/metrics.hpp"
 #include "gmd/ml/regressor.hpp"
 #include "gmd/trace/stats.hpp"
@@ -19,13 +19,8 @@ namespace {
 WorkloadSweep build_workload_sweep(const MultiStudyConfig& config,
                                    const std::string& workload,
                                    const std::vector<DesignPoint>& points) {
-  WorkflowConfig workflow;
-  workflow.graph_vertices = config.graph_vertices;
-  workflow.edge_factor = config.edge_factor;
-  workflow.workload = workload;
-  workflow.seed = config.seed;
-  workflow.num_threads = config.num_threads;
-  const auto events = generate_workload_trace(workflow);
+  const auto events = generate_workload_trace(
+      {config.graph_vertices, config.edge_factor, workload, config.seed});
   const auto stats = trace::compute_stats(events);
 
   WorkloadSweep sweep;

@@ -8,6 +8,7 @@
 #include "gmd/common/error.hpp"
 #include "gmd/common/string_util.hpp"
 #include "gmd/dse/pareto.hpp"
+#include "gmd/dse/recommend.hpp"
 #include "gmd/dse/sensitivity.hpp"
 
 namespace gmd::dse {
@@ -122,37 +123,36 @@ void write_sensitivity(std::ostream& os, std::span<const SweepRow> sweep) {
 
 }  // namespace
 
-void write_markdown_report(std::ostream& os, const WorkflowResult& result,
+void write_markdown_report(std::ostream& os, std::span<const SweepRow> rows,
+                           const SurrogateSuite& suite,
                            const ReportOptions& options) {
-  GMD_REQUIRE(!result.sweep.empty(), "cannot report on an empty study");
+  GMD_REQUIRE(!rows.empty(), "cannot report on an empty study");
   os << "# " << options.title << "\n\n";
-  os << "- graph: " << result.graph.num_vertices() << " vertices, "
-     << result.graph.num_edges() << " directed edges\n";
-  os << "- trace: " << result.trace.size() << " memory events\n";
-  os << "- configurations simulated: " << result.sweep.size() << "\n\n";
+  os << "- configurations simulated: " << rows.size() << "\n\n";
 
-  if (options.include_metric_table) write_metric_table(os, result.sweep);
-  if (options.include_model_scores)
-    write_model_scores(os, result.surrogates);
+  if (options.include_metric_table) write_metric_table(os, rows);
+  if (options.include_model_scores) write_model_scores(os, suite);
   if (options.include_recommendations)
-    write_recommendations(os, result.recommendations);
-  if (options.include_sensitivity) write_sensitivity(os, result.sweep);
-  if (options.include_pareto) write_pareto(os, result.sweep);
+    write_recommendations(os, recommend_from_sweep(rows));
+  if (options.include_sensitivity) write_sensitivity(os, rows);
+  if (options.include_pareto) write_pareto(os, rows);
 }
 
-std::string markdown_report(const WorkflowResult& result,
+std::string markdown_report(std::span<const SweepRow> rows,
+                            const SurrogateSuite& suite,
                             const ReportOptions& options) {
   std::ostringstream os;
-  write_markdown_report(os, result, options);
+  write_markdown_report(os, rows, suite, options);
   return os.str();
 }
 
 void save_markdown_report(const std::string& path,
-                          const WorkflowResult& result,
+                          std::span<const SweepRow> rows,
+                          const SurrogateSuite& suite,
                           const ReportOptions& options) {
   std::ofstream out(path);
   GMD_REQUIRE(out.good(), "cannot open '" << path << "' for writing");
-  write_markdown_report(out, result, options);
+  write_markdown_report(out, rows, suite, options);
   GMD_REQUIRE(out.good(), "write to '" << path << "' failed");
 }
 

@@ -37,9 +37,4 @@ std::pair<Dataset, Dataset> train_test_split(const Dataset& data,
                                              double test_fraction,
                                              std::uint64_t seed);
 
-/// K-fold index sets: k (train_indices, test_indices) pairs covering
-/// all rows; test folds are disjoint and exhaustive.
-std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
-kfold_indices(std::size_t n, std::size_t k, std::uint64_t seed);
-
 }  // namespace gmd::ml

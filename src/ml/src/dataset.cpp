@@ -53,32 +53,4 @@ std::pair<Dataset, Dataset> train_test_split(const Dataset& data,
   return {data.subset(train_idx), data.subset(test_idx)};
 }
 
-std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
-kfold_indices(std::size_t n, std::size_t k, std::uint64_t seed) {
-  GMD_REQUIRE(k >= 2, "k-fold needs k >= 2");
-  GMD_REQUIRE(n >= k, "k-fold needs at least k rows");
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  Rng rng(seed);
-  rng.shuffle(order);
-
-  std::vector<std::pair<std::vector<std::size_t>, std::vector<std::size_t>>>
-      folds(k);
-  for (std::size_t fold = 0; fold < k; ++fold) {
-    const std::size_t lo = fold * n / k;
-    const std::size_t hi = (fold + 1) * n / k;
-    auto& [train, test] = folds[fold];
-    test.assign(order.begin() + static_cast<std::ptrdiff_t>(lo),
-                order.begin() + static_cast<std::ptrdiff_t>(hi));
-    train.reserve(n - (hi - lo));
-    train.insert(train.end(), order.begin(),
-                 order.begin() + static_cast<std::ptrdiff_t>(lo));
-    train.insert(train.end(),
-                 order.begin() + static_cast<std::ptrdiff_t>(hi),
-                 order.end());
-  }
-  return folds;
-}
-
 }  // namespace gmd::ml

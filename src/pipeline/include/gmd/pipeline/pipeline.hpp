@@ -67,7 +67,9 @@ struct PipelineOptions {
   /// the sweep in-process.  >0 delegates to the distributed runner
   /// (dse::run_sweep_distributed) over <out_dir>/sweep-shards: workers
   /// share the GMDT store mapping and checkpoint per-worker journals,
-  /// and the stage survives SIGKILLed workers.  Like the thread count,
+  /// and the stage survives SIGKILLed workers.  Without `resume` the
+  /// shard directory is removed first, so the sweep starts fresh, as
+  /// the in-process one does.  Like the thread count,
   /// this only changes where the work runs, never the labels, so it is
   /// NOT part of the stage identity — a run started in-process can
   /// resume distributed and vice versa.

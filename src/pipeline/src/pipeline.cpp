@@ -16,7 +16,7 @@
 #include "gmd/dse/distributed.hpp"
 #include "gmd/dse/dataset_builder.hpp"
 #include "gmd/dse/recommend.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 #include "gmd/ml/serialize.hpp"
 #include "gmd/pipeline/manifest.hpp"
 #include "gmd/trace/converter.hpp"
@@ -34,13 +34,13 @@ void mix_string(Fnv1a& h, const std::string& s) {
   h.mix_bytes(s.data(), s.size());
 }
 
-/// Identity of the cpusim stage: the workload configuration.
-std::uint64_t cpusim_inputs_hash(const PipelineOptions& options) {
+/// Identity of the cpusim stage: the workload spec.
+std::uint64_t cpusim_inputs_hash(const dse::WorkloadSpec& spec) {
   Fnv1a h;
-  h.mix(options.graph_vertices);
-  h.mix(options.edge_factor);
-  mix_string(h, options.workload);
-  h.mix(options.seed);
+  h.mix(spec.graph_vertices);
+  h.mix(spec.edge_factor);
+  mix_string(h, spec.workload);
+  h.mix(spec.seed);
   return h.state;
 }
 
@@ -153,16 +153,13 @@ PipelineResult run_pipeline(const PipelineOptions& options) {
       };
 
   // --- cpusim: workload run -> gem5 text trace -------------------------
+  const dse::WorkloadSpec spec{options.graph_vertices, options.edge_factor,
+                               options.workload, options.seed};
   run_stage(
-      "cpusim", cpusim_inputs_hash(options), options.budgets.cpusim,
+      "cpusim", cpusim_inputs_hash(spec), options.budgets.cpusim,
       [&](Deadline* deadline) -> std::vector<std::string> {
-        dse::WorkflowConfig config;
-        config.graph_vertices = options.graph_vertices;
-        config.edge_factor = options.edge_factor;
-        config.workload = options.workload;
-        config.seed = options.seed;
         const std::vector<cpusim::MemoryEvent> events =
-            dse::generate_workload_trace(config, nullptr, nullptr, deadline);
+            dse::generate_workload_trace(spec, nullptr, nullptr, deadline);
         atomic_write_file(result.trace_path, [&events](std::ostream& os) {
           trace::Gem5TraceWriter writer(os);
           for (const cpusim::MemoryEvent& event : events) {
@@ -220,11 +217,15 @@ PipelineResult run_pipeline(const PipelineOptions& options) {
             // the stage identity.
             sweep_options.checkpoint_path.clear();
             sweep_options.fault_hook = nullptr;  // not fork-transportable
+            // The runner adopts any journals it finds under its run
+            // directory, so a fresh (non-resume) run must not see them.
+            const std::string run_dir = path_in("sweep-shards");
+            if (!options.resume) fs::remove_all(run_dir);
             dse::DistributedSweepOptions dist;
             dist.num_workers = options.sweep_processes;
             dist.cancel = deadline;
-            rows = dse::run_sweep_distributed(
-                points, store, path_in("sweep-shards"), sweep_options, dist);
+            rows = dse::run_sweep_distributed(points, store, run_dir,
+                                              sweep_options, dist);
           } else {
             rows = dse::run_sweep(points, store, sweep_options);
           }

@@ -5,9 +5,12 @@
 
 #include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gmd/common/error.hpp"
 #include "gmd/dse/config_space.hpp"
+#include "gmd/dse/workload.hpp"
 
 namespace gmd::dse {
 namespace {
@@ -15,23 +18,31 @@ namespace {
 class ReportTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
-    WorkflowConfig config;
-    config.graph_vertices = 128;
-    config.edge_factor = 8;
-    config.design_points = reduced_design_space();
-    result_ = new WorkflowResult(run_workflow(config));
+    WorkloadSpec spec;
+    spec.graph_vertices = 128;
+    spec.edge_factor = 8;
+    rows_ = new std::vector<SweepRow>(
+        run_sweep(reduced_design_space(), generate_workload_trace(spec)));
+    suite_ = new SurrogateSuite(SurrogateSuite::train(*rows_));
   }
   static void TearDownTestSuite() {
-    delete result_;
-    result_ = nullptr;
+    delete suite_;
+    suite_ = nullptr;
+    delete rows_;
+    rows_ = nullptr;
   }
-  static WorkflowResult* result_;
+  static std::string render(const ReportOptions& options = {}) {
+    return markdown_report(*rows_, *suite_, options);
+  }
+  static std::vector<SweepRow>* rows_;
+  static SurrogateSuite* suite_;
 };
 
-WorkflowResult* ReportTest::result_ = nullptr;
+std::vector<SweepRow>* ReportTest::rows_ = nullptr;
+SurrogateSuite* ReportTest::suite_ = nullptr;
 
 TEST_F(ReportTest, ContainsAllSections) {
-  const std::string report = markdown_report(*result_);
+  const std::string report = render();
   EXPECT_NE(report.find("# Memory co-design study"), std::string::npos);
   EXPECT_NE(report.find("## Memory performance summary"), std::string::npos);
   EXPECT_NE(report.find("## Surrogate model scores"), std::string::npos);
@@ -45,7 +56,7 @@ TEST_F(ReportTest, OptionsDisableSections) {
   options.title = "Custom title";
   options.include_pareto = false;
   options.include_model_scores = false;
-  const std::string report = markdown_report(*result_, options);
+  const std::string report = render(options);
   EXPECT_NE(report.find("# Custom title"), std::string::npos);
   EXPECT_EQ(report.find("Pareto"), std::string::npos);
   EXPECT_EQ(report.find("Table I analogue"), std::string::npos);
@@ -53,7 +64,7 @@ TEST_F(ReportTest, OptionsDisableSections) {
 }
 
 TEST_F(ReportTest, MetricTableHasOneRowPerCell) {
-  const std::string report = markdown_report(*result_);
+  const std::string report = render();
   // 4 cpu x 4 ctrl x 2 channels = 32 cells.
   std::size_t rows = 0;
   std::size_t pos = 0;
@@ -66,7 +77,7 @@ TEST_F(ReportTest, MetricTableHasOneRowPerCell) {
 }
 
 TEST_F(ReportTest, MentionsEveryMetricAndModel) {
-  const std::string report = markdown_report(*result_);
+  const std::string report = render();
   for (const auto& metric : target_metric_names()) {
     EXPECT_NE(report.find(metric), std::string::npos) << metric;
   }
@@ -78,16 +89,16 @@ TEST_F(ReportTest, SavesToFile) {
   const auto path =
       std::filesystem::temp_directory_path() /
       ("gmd_report_test_" + std::to_string(::getpid()) + ".md");
-  save_markdown_report(path.string(), *result_);
+  save_markdown_report(path.string(), *rows_, *suite_);
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_GT(std::filesystem::file_size(path), 1000u);
   std::filesystem::remove(path);
 }
 
 TEST(Report, EmptyStudyRejected) {
-  const WorkflowResult empty;
+  const SurrogateSuite suite;
   std::ostringstream os;
-  EXPECT_THROW(write_markdown_report(os, empty), Error);
+  EXPECT_THROW(write_markdown_report(os, {}, suite), Error);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
 #include "gmd/common/error.hpp"
@@ -82,27 +81,6 @@ TEST(TrainTestSplit, RejectsBadFraction) {
   const Dataset d = make_dataset(10);
   EXPECT_THROW(train_test_split(d, 0.0, 1), Error);
   EXPECT_THROW(train_test_split(d, 1.0, 1), Error);
-}
-
-TEST(KFold, FoldsPartitionAllRows) {
-  const auto folds = kfold_indices(23, 5, 3);
-  ASSERT_EQ(folds.size(), 5u);
-  std::set<std::size_t> all_test;
-  for (const auto& [train, test] : folds) {
-    EXPECT_EQ(train.size() + test.size(), 23u);
-    for (const std::size_t i : test) {
-      EXPECT_TRUE(all_test.insert(i).second) << "duplicate test index " << i;
-    }
-    // Train and test are disjoint.
-    for (const std::size_t i : test)
-      EXPECT_EQ(std::count(train.begin(), train.end(), i), 0);
-  }
-  EXPECT_EQ(all_test.size(), 23u);
-}
-
-TEST(KFold, RejectsDegenerateInput) {
-  EXPECT_THROW(kfold_indices(10, 1, 1), Error);
-  EXPECT_THROW(kfold_indices(3, 5, 1), Error);
 }
 
 }  // namespace

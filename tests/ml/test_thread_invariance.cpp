@@ -1,4 +1,4 @@
-// Thread-count invariance: fits, CV scores, and grid rankings must be
+// Thread-count invariance: forest and boosting fits must be
 // bit-identical whether they run serially or fan out on the pool, and
 // every model family's batch predict must return exactly the per-row
 // predict_one values.
@@ -11,12 +11,10 @@
 #include <vector>
 
 #include "gmd/common/rng.hpp"
-#include "gmd/ml/dataset.hpp"
 #include "gmd/ml/forest.hpp"
 #include "gmd/ml/gbt.hpp"
 #include "gmd/ml/gp.hpp"
 #include "gmd/ml/linear.hpp"
-#include "gmd/ml/model_selection.hpp"
 #include "gmd/ml/svr.hpp"
 #include "gmd/ml/tree.hpp"
 
@@ -42,16 +40,6 @@ TestData make_data(std::size_t n, std::uint64_t seed) {
   }
   data.x = Matrix::from_rows(rows);
   return data;
-}
-
-Dataset make_dataset(std::size_t n, std::uint64_t seed) {
-  const TestData data = make_data(n, seed);
-  Dataset ds;
-  ds.X = data.x;
-  ds.y = data.y;
-  ds.feature_names = {"a", "b", "c"};
-  ds.target_name = "t";
-  return ds;
 }
 
 template <typename Model>
@@ -98,60 +86,6 @@ TEST(ThreadInvariance, GbtSplitSearchIsIdenticalAcrossThreadCounts) {
       baseline = text;
     } else {
       EXPECT_EQ(baseline, text) << "num_threads " << threads;
-    }
-  }
-}
-
-TEST(ThreadInvariance, CrossValidationScoresAreIdentical) {
-  const Dataset ds = make_dataset(120, 31);
-  GbtParams gbt;
-  gbt.num_stages = 20;
-  const GradientBoosting prototype(gbt);
-
-  CvOptions serial;
-  serial.num_threads = 1;
-  const CvScores a = cross_validate(prototype, ds, serial);
-  CvOptions parallel;
-  parallel.num_threads = 4;
-  const CvScores b = cross_validate(prototype, ds, parallel);
-  ASSERT_EQ(a.fold_mse.size(), b.fold_mse.size());
-  for (std::size_t f = 0; f < a.fold_mse.size(); ++f) {
-    EXPECT_EQ(a.fold_mse[f], b.fold_mse[f]);
-    EXPECT_EQ(a.fold_r2[f], b.fold_r2[f]);
-  }
-  // And the options overload with defaults matches the legacy entry
-  // point exactly.
-  const CvScores legacy = cross_validate(prototype, ds, 5, 1);
-  for (std::size_t f = 0; f < a.fold_mse.size(); ++f) {
-    EXPECT_EQ(a.fold_mse[f], legacy.fold_mse[f]);
-  }
-}
-
-TEST(ThreadInvariance, GridSearchRankingIsIdentical) {
-  const Dataset ds = make_dataset(90, 37);
-  const std::vector<double> cs{1.0, 10.0, 100.0};
-  const std::vector<double> gammas{0.5, 2.0};
-  const std::vector<double> epsilons{0.01};
-
-  CvOptions serial;
-  serial.folds = 4;
-  serial.num_threads = 1;
-  const GridSearchResult a =
-      grid_search_svr(ds, cs, gammas, epsilons, serial);
-  CvOptions parallel = serial;
-  parallel.num_threads = 6;
-  const GridSearchResult b =
-      grid_search_svr(ds, cs, gammas, epsilons, parallel);
-
-  ASSERT_EQ(a.candidates.size(), b.candidates.size());
-  for (std::size_t c = 0; c < a.candidates.size(); ++c) {
-    EXPECT_EQ(a.candidates[c].params, b.candidates[c].params);
-    ASSERT_EQ(a.candidates[c].scores.fold_mse.size(),
-              b.candidates[c].scores.fold_mse.size());
-    for (std::size_t f = 0; f < a.candidates[c].scores.fold_mse.size();
-         ++f) {
-      EXPECT_EQ(a.candidates[c].scores.fold_mse[f],
-                b.candidates[c].scores.fold_mse[f]);
     }
   }
 }

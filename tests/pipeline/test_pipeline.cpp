@@ -1,8 +1,8 @@
 /// End-to-end orchestrator contract: a full run publishes every
 /// artifact with no temp residue, resume skips verified stages, a stage
-/// failure mid-pipeline leaves completed stages resumable, and an
+/// failure mid-pipeline leaves completed stages resumable, an
 /// interrupted-then-resumed run is bit-identical to an uninterrupted
-/// one.
+/// one, and a distributed sweep stage publishes the in-process bytes.
 
 #include <gtest/gtest.h>
 
@@ -13,13 +13,18 @@
 #include <string>
 #include <vector>
 
+#include "gmd/common/csv.hpp"
 #include "gmd/common/deadline.hpp"
 #include "gmd/common/error.hpp"
+#include "gmd/dse/checkpoint.hpp"
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/dataset_builder.hpp"
+#include "gmd/dse/shard.hpp"
+#include "gmd/dse/surrogate.hpp"
 #include "gmd/dse/sweep.hpp"
 #include "gmd/pipeline/manifest.hpp"
 #include "gmd/pipeline/pipeline.hpp"
+#include "gmd/tracestore/reader.hpp"
 
 namespace gmd::pipeline {
 namespace {
@@ -54,7 +59,7 @@ class PipelineTest : public ::testing::Test {
 
   void TearDown() override { fs::remove_all(root_); }
 
-  /// Small but complete configuration: a tiny graph, a 16-point design
+  /// Small but complete configuration: a tiny graph, a 12-point design
   /// space, and the cheapest model family.
   PipelineOptions small_options(const std::string& out_name) const {
     PipelineOptions options;
@@ -233,6 +238,56 @@ TEST_F(PipelineTest, SweepAbortMidwayThenResumeIsBitIdentical) {
         << resumed_files[i] << " diverged from the uninterrupted run";
   }
   EXPECT_EQ(count_temp_files(options.out_dir), 0u);
+}
+
+TEST_F(PipelineTest, RetrainingOnSweepCsvReproducesTable1) {
+  // The premise of `pipeline_runner --report`: the train stage's options
+  // over the published sweep.csv rebuild Table I byte for byte.
+  PipelineOptions options = small_options("retrain_csv");
+  options.surrogate.models = dse::SurrogateOptions{}.models;
+  const PipelineResult result = run_pipeline(options);
+
+  const std::vector<dse::SweepRow> rows =
+      dse::table_to_sweep(CsvTable::load(result.sweep_csv));
+  dse::SurrogateOptions surrogate = options.surrogate;
+  surrogate.skip_failed_metrics = true;
+  EXPECT_EQ(dse::SurrogateSuite::train(rows, surrogate).format_table1(),
+            slurp(result.table1_path));
+}
+
+TEST_F(PipelineTest, DistributedSweepStageMatchesInProcess) {
+  const PipelineResult in_process = run_pipeline(small_options("inproc"));
+  PipelineOptions options = small_options("dist");
+  options.sweep_processes = 2;
+  const PipelineResult distributed = run_pipeline(options);
+  EXPECT_EQ(distributed.health.ok, options.design_points.size());
+  EXPECT_EQ(slurp(distributed.sweep_csv), slurp(in_process.sweep_csv));
+}
+
+TEST_F(PipelineTest, FreshDistributedRunIgnoresStaleShardJournals) {
+  const PipelineResult reference = run_pipeline(small_options("fresh_ref"));
+
+  // A previous run's shard journal under this run's exact identity,
+  // covering every point, but with every row's power altered: adopting
+  // it would publish the altered rows.
+  PipelineOptions options = small_options("stale");
+  options.sweep_processes = 2;
+  const tracestore::TraceStoreReader store(reference.store_path);
+  const dse::JournalKey key = dse::sweep_identity(
+      dse::make_journal_key(options.design_points, store), options.sweep);
+  const dse::RunDir run{(fs::path(options.out_dir) / "sweep-shards").string()};
+  fs::create_directories(run.journals_dir());
+  dse::SweepJournal journal(run.journal_path("stale"), key);
+  std::vector<dse::SweepRow> rows =
+      dse::run_sweep(options.design_points, store);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].metrics.avg_power_per_channel_w += 1.0;
+    journal.record(i, rows[i]);
+  }
+
+  // Without resume the stage must recompute, not adopt the journal.
+  const PipelineResult fresh = run_pipeline(options);
+  EXPECT_EQ(slurp(fresh.sweep_csv), slurp(reference.sweep_csv));
 }
 
 TEST_F(PipelineTest, ExpiredCancelTokenAbortsWithTimeout) {

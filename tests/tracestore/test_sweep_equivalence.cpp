@@ -14,7 +14,7 @@
 
 #include "gmd/dse/config_space.hpp"
 #include "gmd/dse/sweep.hpp"
-#include "gmd/dse/workflow.hpp"
+#include "gmd/dse/workload.hpp"
 #include "gmd/trace/converter.hpp"
 #include "gmd/trace/formats.hpp"
 #include "gmd/tracestore/reader.hpp"
@@ -55,9 +55,7 @@ class GmdtSweepEquivalence : public testing::Test {
 
     // A real workload trace (unaligned addresses, mixed sizes), written
     // through the gem5 text path exactly as the pipeline does.
-    WorkflowConfig config;
-    config.graph_vertices = 192;
-    const auto raw_events = generate_workload_trace(config);
+    const auto raw_events = generate_workload_trace({.graph_vertices = 192});
     ASSERT_FALSE(raw_events.empty());
     gem5_path_ = dir_ + "/trace.gem5.txt";
     std::ofstream out(gem5_path_);
@@ -144,24 +142,23 @@ TEST_F(GmdtSweepEquivalence, StoreFedSweepMatchesWithSharingDisabled) {
 }
 
 TEST_F(GmdtSweepEquivalence, WorkflowGmdtFormatMatchesTextFormat) {
-  WorkflowConfig text_config;
-  text_config.graph_vertices = 128;
-  text_config.design_points = reduced_design_space();
-  text_config.trace_dir = dir_ + "/wf_text";
-  std::filesystem::create_directories(text_config.trace_dir);
-  text_config.trace_format = "text";
+  // The reduced space (96 points, hybrids included) fed once from the
+  // NVMain text and once from the GMDT store, both converted from the
+  // same gem5 trace.
+  const std::string nvmain_path = dir_ + "/wf.nvmain.txt";
+  const std::string store_path = dir_ + "/wf.gmdt";
+  trace::convert_gem5_to_nvmain(gem5_path_, nvmain_path);
+  trace::convert_gem5_to_gmdt(gem5_path_, store_path);
+  const std::vector<DesignPoint> points = reduced_design_space();
 
-  WorkflowConfig gmdt_config = text_config;
-  gmdt_config.trace_dir = dir_ + "/wf_gmdt";
-  std::filesystem::create_directories(gmdt_config.trace_dir);
-  gmdt_config.trace_format = "gmdt";
-
-  const WorkflowResult text_result = run_workflow(text_config);
-  const WorkflowResult gmdt_result = run_workflow(gmdt_config);
-  ASSERT_EQ(text_result.sweep.size(), gmdt_result.sweep.size());
-  for (std::size_t i = 0; i < text_result.sweep.size(); ++i) {
-    expect_metrics_bit_identical(text_result.sweep[i].metrics,
-                                 gmdt_result.sweep[i].metrics);
+  std::ifstream in(nvmain_path);
+  const auto text_rows = run_sweep(points, trace::read_nvmain_trace(in));
+  const auto store_rows =
+      run_sweep(points, tracestore::TraceStoreReader(store_path));
+  ASSERT_EQ(text_rows.size(), store_rows.size());
+  for (std::size_t i = 0; i < text_rows.size(); ++i) {
+    expect_metrics_bit_identical(text_rows[i].metrics,
+                                 store_rows[i].metrics);
   }
 }
 

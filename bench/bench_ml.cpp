@@ -90,14 +90,6 @@ int main(int argc, char** argv) {
     model.fit(big.x, big.y);
     checksum += model.predict_one(big.x.row(0));
   });
-  const double forest_histogram = best_seconds(fit_reps, [&] {
-    ml::ForestParams params = forest;
-    params.split_mode = ml::TreeParams::SplitMode::kHistogram;
-    params.max_bins = 64;
-    ml::RandomForest model(params);
-    model.fit(big.x, big.y);
-    checksum += model.predict_one(big.x.row(0));
-  });
 
   // --- GBT fit: reference engine vs workspace + parallel splits ------
   ml::GbtParams gbt;
@@ -156,11 +148,8 @@ int main(int argc, char** argv) {
   std::printf("  \"synthetic_rows\": %zu,\n", big.x.rows());
   std::printf("  \"forest_fit_reference_seconds\": %.3f,\n", forest_reference);
   std::printf("  \"forest_fit_workspace_seconds\": %.3f,\n", forest_workspace);
-  std::printf("  \"forest_fit_histogram_seconds\": %.3f,\n", forest_histogram);
   std::printf("  \"forest_fit_speedup\": %.2f,\n",
               forest_reference / forest_workspace);
-  std::printf("  \"forest_fit_histogram_speedup\": %.2f,\n",
-              forest_reference / forest_histogram);
   std::printf("  \"gbt_fit_reference_seconds\": %.3f,\n", gbt_reference);
   std::printf("  \"gbt_fit_workspace_seconds\": %.3f,\n", gbt_workspace);
   std::printf("  \"gbt_fit_speedup\": %.2f,\n", gbt_reference / gbt_workspace);

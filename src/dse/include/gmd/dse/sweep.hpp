@@ -93,11 +93,6 @@ std::string to_string(FailurePolicy policy);
 struct SweepOptions {
   std::size_t num_threads = 0;  ///< 0: hardware concurrency.
   bool log_progress = false;
-  /// Build one PredecodedTrace per unique decode geometry and replay it
-  /// for every point in the group (identical results, much less
-  /// per-point work).  Off = predecode nothing and run every point
-  /// through the raw event path, as a validation baseline.
-  bool share_predecoded_traces = true;
 
   // --- simulation speed tier -------------------------------------------
   /// Fraction of trace chunks each single-technology point simulates,
@@ -174,8 +169,8 @@ std::vector<SweepRow> run_sweep(std::span<const DesignPoint> points,
 /// Store-fed sweep: replays a GMDT trace store without first
 /// materializing the whole event vector — single-technology groups
 /// predecode chunk-by-chunk straight off the shared mapping, and the
-/// raw event vector is decoded (in parallel, once) only when some point
-/// needs it (hybrid groups, ungrouped points, or sharing disabled).
+/// raw event vector is decoded (in parallel, once) only when a hybrid
+/// group needs it.
 /// Metrics are bit-identical to the span overload on the same events.
 std::vector<SweepRow> run_sweep(std::span<const DesignPoint> points,
                                 const tracestore::TraceStoreReader& store,

@@ -45,9 +45,9 @@ class StoreChunkedTrace final : public memsim::ChunkedTrace {
 };
 
 /// Uniform view over the two trace feeds (in-memory span / GMDT store).
-/// A store-fed sweep only decodes the full event vector when some point
-/// actually needs the raw path; grouped single-technology points
-/// predecode chunk-by-chunk off the shared mapping instead.
+/// A store-fed sweep only decodes the full event vector when a hybrid
+/// group needs it; single-technology groups predecode chunk-by-chunk
+/// off the shared mapping instead.
 class TraceAccess {
  public:
   explicit TraceAccess(std::span<const cpusim::MemoryEvent> events)
@@ -438,56 +438,46 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
 
   ThreadPool pool(options.num_threads);
 
-  // Group points by decode geometry.  Decode (and, for static hybrids,
-  // routing) depends only on the mapping geometry and clocks, so all
-  // members of a group — e.g. every NVM tRCD variant of a sweep cell —
-  // replay one shared predecoded request stream.
+  // Group points by decode geometry.  Decode (and, for the static
+  // hybrids DesignPoint builds, routing) depends only on the mapping
+  // geometry and clocks, so all members of a group — e.g. every NVM
+  // tRCD variant of a sweep cell — replay one shared predecoded request
+  // stream.  Every exhaustive point joins a group.
   std::vector<PointPlan> plans(points.size());
   std::vector<TraceGroup> groups;
-  if (options.share_predecoded_traces) {
-    std::unordered_map<std::string, std::size_t> group_of_key;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      if (settled[i]) continue;  // nothing left to simulate
-      // Sampled single-technology points replay raw event chunks, not a
-      // predecoded whole-trace stream — a shared predecode would be
-      // wasted work for them.
-      if (sampling && points[i].kind != MemoryKind::kHybrid) continue;
-      PointPlan& plan = plans[i];
-      std::string key;
-      bool is_hybrid = false;
-      if (points[i].kind == MemoryKind::kHybrid) {
-        plan.hybrid = points[i].hybrid_config();
-        if (plan.hybrid.migration_threshold != 0) continue;  // dynamic routing
-        key = memsim::hybrid_trace_key(plan.hybrid);
-        is_hybrid = true;
-      } else {
-        plan.single = points[i].single_config();
-        key = memsim::PredecodedTrace::key(plan.single);
-      }
-      const auto [it, inserted] = group_of_key.emplace(key, groups.size());
-      if (inserted) {
-        groups.push_back(TraceGroup{is_hybrid, i, {}, {}, {}});
-      }
-      plan.group = it->second;
+  std::unordered_map<std::string, std::size_t> group_of_key;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (settled[i]) continue;  // nothing left to simulate
+    // Sampled single-technology points replay raw event chunks, not a
+    // predecoded whole-trace stream — a shared predecode would be
+    // wasted work for them.
+    if (sampling && points[i].kind != MemoryKind::kHybrid) continue;
+    PointPlan& plan = plans[i];
+    std::string key;
+    bool is_hybrid = false;
+    if (points[i].kind == MemoryKind::kHybrid) {
+      plan.hybrid = points[i].hybrid_config();
+      key = memsim::hybrid_trace_key(plan.hybrid);
+      is_hybrid = true;
+    } else {
+      plan.single = points[i].single_config();
+      key = memsim::PredecodedTrace::key(plan.single);
     }
+    const auto [it, inserted] = group_of_key.emplace(key, groups.size());
+    if (inserted) {
+      groups.push_back(TraceGroup{is_hybrid, i, {}, {}, {}});
+    }
+    plan.group = it->second;
   }
 
-  // A store feed only pays for the full event vector when some point
-  // actually replays raw events: a hybrid group (the hybrid splitter
-  // takes a span), an unsettled point outside every group (dynamic
-  // hybrids, or sharing disabled).  Must happen before the group
-  // predecode below — materialize() uses the pool itself.
-  bool need_raw = false;
-  for (std::size_t i = 0; i < points.size() && !need_raw; ++i) {
-    // Sampled single-technology points feed on chunks, never the raw
-    // event vector.
-    need_raw = !settled[i] && plans[i].group == PointPlan::kNoGroup &&
-               !(sampling && points[i].kind != MemoryKind::kHybrid);
+  // A store feed only pays for the full event vector when a hybrid
+  // group needs it (the hybrid splitter takes a span).  Must happen
+  // before the group predecode below — materialize() uses the pool
+  // itself.
+  if (std::any_of(groups.begin(), groups.end(),
+                  [](const TraceGroup& group) { return group.is_hybrid; })) {
+    access.materialize(pool);
   }
-  for (const TraceGroup& group : groups) {
-    need_raw = need_raw || group.is_hybrid;
-  }
-  if (need_raw) access.materialize(pool);
 
   if (sampling) {
     std::size_t hybrid_points = 0;
@@ -531,22 +521,19 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     sopt.sampling_chunk_events = options.sampling_chunk_events;
     sopt.deadline = deadline;
 
-    const PointPlan& plan = plans[i];
     PointFeed feed;
     std::unique_ptr<memsim::ChunkedTrace> chunked;
     if (sampling && points[i].kind != MemoryKind::kHybrid) {
       chunked = access.chunked(options.sampling_chunk_events);
       feed.chunked = chunked.get();
-    } else if (plan.group != PointPlan::kNoGroup) {
-      const TraceGroup& group = groups[plan.group];
+    } else {
+      const TraceGroup& group = groups[plans[i].group];
       if (group.is_hybrid) {
         feed.dram_side = &group.dram_side;
         feed.nvm_side = &group.nvm_side;
       } else {
         feed.predecoded = &group.trace;
       }
-    } else {
-      feed.raw = access.raw();
     }
 
     MetricsRow result;

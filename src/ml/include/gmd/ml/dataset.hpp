@@ -2,8 +2,7 @@
 
 /// \file dataset.hpp
 /// Supervised-learning dataset (features + one target) with the
-/// splitting utilities the paper's workflow needs (80/20 holdout,
-/// k-fold cross-validation).
+/// splitting utility the paper's workflow needs (80/20 holdout).
 
 #include <cstdint>
 #include <span>

@@ -30,10 +30,6 @@ struct ForestParams {
   bool bootstrap = true;
   std::uint64_t seed = 1;
   std::size_t num_threads = 0;  ///< 0: hardware concurrency.
-  /// Split enumeration mode for every tree (exact or <= max_bins
-  /// histogram buckets); see TreeParams::SplitMode.
-  TreeParams::SplitMode split_mode = TreeParams::SplitMode::kExact;
-  std::size_t max_bins = 64;
   /// Trains every tree with the pre-workspace reference engine (golden
   /// path for equivalence tests).
   bool reference_mode = false;
@@ -51,16 +47,14 @@ class RandomForest final : public Regressor {
   void fit(const Matrix& x, std::span<const double> y) override;
 
   /// Fits against a prebuilt workspace for `x` — the retrain path of
-  /// iterative loops (active learning, the adaptive explorer), where
-  /// the candidate pool's presorted feature orders are built once and
-  /// every round derives its labeled subset in O(rows) per feature via
-  /// for_sample().  `base` must be TrainingWorkspace::build(pool_x)
-  /// (with histograms when split_mode is kHistogram), and `sample`
-  /// selects the labeled pool rows.  In exact split mode the fitted
-  /// trees are bit-identical to fit(pool_x.gather_rows(sample), y); in
-  /// histogram mode the pool-level bins are reused (consistent across
-  /// rounds, not re-quantized per subset).  Incompatible with
-  /// reference_mode (which exists to bypass workspaces).
+  /// iterative loops (active learning), where the candidate pool's
+  /// presorted feature orders are built once and every round derives
+  /// its labeled subset in O(rows) per feature via for_sample().
+  /// `base` must be TrainingWorkspace::build(pool_x), and `sample`
+  /// selects the labeled pool rows.  The fitted trees are bit-identical
+  /// to fit(pool_x.gather_rows(sample), y); fit() itself is this call
+  /// over the whole matrix.  Incompatible with reference_mode (which
+  /// exists to bypass workspaces).
   void fit_with_workspace(const TrainingWorkspace& base, const Matrix& pool_x,
                           std::span<const std::size_t> sample,
                           std::span<const double> y);
@@ -93,6 +87,13 @@ class RandomForest final : public Regressor {
   static RandomForest read(std::istream& is);
 
  private:
+  /// The one fit body: pre-draws every tree's seed and bootstrap over
+  /// `sample`, then grows the trees in parallel.  A null `base` grows
+  /// them with the reference engine.
+  void fit_trees(const TrainingWorkspace* base, const Matrix& pool_x,
+                 std::span<const std::size_t> sample,
+                 std::span<const double> y);
+
   ForestParams params_;
   std::vector<DecisionTree> trees_;
 };

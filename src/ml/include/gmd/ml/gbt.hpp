@@ -34,9 +34,6 @@ struct GbtParams {
   /// Forwarded to TreeParams::parallel_min_rows: nodes below this
   /// search serially even with workers available.
   std::size_t parallel_min_rows = 4096;
-  /// Split enumeration mode for every stage; see TreeParams::SplitMode.
-  TreeParams::SplitMode split_mode = TreeParams::SplitMode::kExact;
-  std::size_t max_bins = 64;
   /// Trains every stage with the pre-workspace reference engine (golden
   /// path for equivalence tests).
   bool reference_mode = false;

@@ -3,7 +3,7 @@
 /// \file scaler.hpp
 /// Feature/target scaling.  The paper min-max scales all performance
 /// metrics onto [0, 1] before training so MSEs are comparable across
-/// metrics; z-score scaling is provided as the common alternative.
+/// metrics.
 
 #include <span>
 #include <vector>
@@ -37,22 +37,6 @@ class MinMaxScaler {
  private:
   std::vector<double> mins_;
   std::vector<double> maxs_;
-};
-
-/// Per-column z-score scaler.  Constant columns map to 0.
-class StandardScaler {
- public:
-  void fit(const Matrix& x);
-  Matrix transform(const Matrix& x) const;
-  Matrix fit_transform(const Matrix& x);
-
-  bool fitted() const { return !means_.empty(); }
-  const std::vector<double>& means() const { return means_; }
-  const std::vector<double>& stddevs() const { return stddevs_; }
-
- private:
-  std::vector<double> means_;
-  std::vector<double> stddevs_;
 };
 
 }  // namespace gmd::ml

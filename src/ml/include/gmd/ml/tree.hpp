@@ -7,10 +7,10 @@
 ///
 /// Split search runs over a presorted TrainingWorkspace: every feature
 /// is sorted once per fit and nodes partition stable index ranges, so
-/// finding the best cut is O(rows) per node (exact mode) or O(bins)
-/// (opt-in histogram mode) instead of an O(rows log rows) re-sort per
-/// candidate feature.  The pre-workspace engine survives behind
-/// TreeParams::reference_mode for golden-equivalence testing.
+/// finding the best cut is O(rows) per node instead of an
+/// O(rows log rows) re-sort per candidate feature.  The pre-workspace
+/// engine survives behind TreeParams::reference_mode for
+/// golden-equivalence testing.
 
 #include <cstdint>
 #include <iosfwd>
@@ -40,17 +40,6 @@ struct TreeParams {
   std::size_t max_features = 0;
   std::uint64_t seed = 1;  ///< Only used when max_features > 0.
 
-  /// How candidate cuts are enumerated over the workspace.
-  enum class SplitMode {
-    kExact,      ///< Every value boundary; bit-identical to the
-                 ///< reference engine.
-    kHistogram,  ///< <= max_bins quantile buckets per feature: O(bins)
-                 ///< per node, approximate thresholds.  Opt-in.
-  };
-  SplitMode split_mode = SplitMode::kExact;
-  /// Histogram-mode bucket budget per feature (2..256).
-  std::size_t max_bins = 64;
-
   /// Runs the original per-node re-sort engine instead of the
   /// workspace engine (the seed implementation, kept as the golden
   /// reference like MemSimOptions::reference_mode).
@@ -71,16 +60,10 @@ class DecisionTree final : public Regressor {
 
   void fit(const Matrix& x, std::span<const double> y) override;
 
-  /// Weighted fit used by boosting (weights must be positive).
-  void fit_weighted(const Matrix& x, std::span<const double> y,
-                    std::span<const double> weights);
-
   /// Fits against a prebuilt workspace for `x` (the ensemble path: the
-  /// workspace is built once and shared across trees/stages).  The
-  /// workspace must have histograms when split_mode is kHistogram.
+  /// workspace is built once and shared across trees/stages).
   void fit_with_workspace(const TrainingWorkspace& workspace, const Matrix& x,
-                          std::span<const double> y,
-                          std::span<const double> weights = {});
+                          std::span<const double> y);
 
   double predict_one(std::span<const double> x) const override;
   std::vector<double> predict(const Matrix& x) const override;
@@ -118,7 +101,6 @@ class DecisionTree final : public Regressor {
 
   /// The reference (seed) engine: per-node (value, index) sort.
   std::uint32_t build_reference(const Matrix& x, std::span<const double> y,
-                                std::span<const double> w,
                                 std::vector<std::size_t>& indices,
                                 std::size_t begin, std::size_t end,
                                 unsigned depth, gmd::Rng& rng);

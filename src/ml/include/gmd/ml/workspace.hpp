@@ -2,12 +2,12 @@
 
 /// \file workspace.hpp
 /// Shared per-fit training representation for the tree ensembles: each
-/// feature's rows presorted once (and optionally quantized into <= 256
-/// histogram buckets), so tree growth partitions stable index ranges
-/// instead of re-sorting every candidate feature at every node.  One
-/// workspace is built per ensemble fit and shared across all trees of a
-/// forest and all boosting stages of a GBT; bootstrap / subsample draws
-/// derive their per-tree view with for_sample() instead of re-sorting.
+/// feature's rows presorted once, so tree growth partitions stable
+/// index ranges instead of re-sorting every candidate feature at every
+/// node.  One workspace is built per ensemble fit and shared across all
+/// trees of a forest and all boosting stages of a GBT; bootstrap /
+/// subsample draws derive their per-tree view with for_sample() instead
+/// of re-sorting.
 
 #include <cstdint>
 #include <span>
@@ -27,15 +27,10 @@ class TrainingWorkspace {
   /// split search bit for bit.
   static TrainingWorkspace build(const Matrix& x);
 
-  /// Quantizes every feature into at most `max_bins` (2..256) buckets:
-  /// one bucket per distinct value when the feature has few, quantile
-  /// cuts otherwise.  Enables TreeParams::SplitMode::kHistogram.
-  void build_histograms(std::size_t max_bins);
-
   /// Derives the workspace of `x.gather_rows(sample)` (duplicates
   /// allowed) from this one in O(rows) per feature instead of a fresh
   /// O(rows log rows) sort — how one presort is shared across all the
-  /// bootstrap draws of a forest.  Histogram codes carry over.
+  /// bootstrap draws of a forest.
   TrainingWorkspace for_sample(std::span<const std::size_t> sample) const;
 
   std::size_t rows() const { return rows_; }
@@ -51,31 +46,11 @@ class TrainingWorkspace {
     return values_[f];
   }
 
-  bool has_histograms() const { return max_bins_ > 0; }
-  std::size_t max_bins() const { return max_bins_; }
-  std::size_t num_bins(std::size_t f) const { return bin_edges_[f].size() + 1; }
-  std::uint8_t bin_of(std::size_t f, std::size_t row) const {
-    return codes_[f][row];
-  }
-  /// Per-row bucket codes of feature `f` (size rows()).
-  std::span<const std::uint8_t> bin_codes(std::size_t f) const {
-    return codes_[f];
-  }
-  /// Split threshold between bucket `b` and `b + 1`: the midpoint of
-  /// the adjacent distinct values, exactly what the exact search would
-  /// emit for that cut.
-  double bin_threshold(std::size_t f, std::size_t b) const {
-    return bin_edges_[f][b];
-  }
-
  private:
   std::size_t rows_ = 0;
   std::size_t features_ = 0;
   std::vector<std::vector<std::uint32_t>> order_;  ///< Per feature.
   std::vector<std::vector<double>> values_;        ///< Aligned with order_.
-  std::size_t max_bins_ = 0;                       ///< 0: no histograms.
-  std::vector<std::vector<std::uint8_t>> codes_;   ///< Per feature, by row.
-  std::vector<std::vector<double>> bin_edges_;     ///< Per feature, bins-1.
 };
 
 }  // namespace gmd::ml

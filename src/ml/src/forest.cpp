@@ -20,73 +20,16 @@ RandomForest::RandomForest(const ForestParams& params) : params_(params) {
 void RandomForest::fit(const Matrix& x, std::span<const double> y) {
   GMD_REQUIRE(x.rows() == y.size(), "X/y row mismatch");
   GMD_REQUIRE(x.rows() >= 1, "empty training data");
-  const std::size_t n = x.rows();
-  const std::size_t p = x.cols();
-  const std::size_t max_features =
-      params_.max_features > 0 ? params_.max_features : p;
-
-  // Pre-draw per-tree seeds and bootstrap samples deterministically so
-  // the parallel build order cannot affect the result.
-  Rng rng(params_.seed);
-  struct TreeJob {
-    std::uint64_t seed = 0;
-    std::vector<std::size_t> sample;
-  };
-  std::vector<TreeJob> jobs(params_.num_trees);
-  for (auto& job : jobs) {
-    job.seed = rng();
-    job.sample.resize(n);
-    if (params_.bootstrap) {
-      for (auto& idx : job.sample) idx = rng.next_below(n);
-    } else {
-      std::iota(job.sample.begin(), job.sample.end(), std::size_t{0});
-    }
+  std::vector<std::size_t> all(x.rows());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  if (params_.reference_mode) {
+    fit_trees(nullptr, x, all, y);
+    return;
   }
-
   // One presort of the full training matrix, shared across every tree:
   // bootstrap draws derive their view in O(n) per feature instead of
   // re-sorting.
-  TrainingWorkspace base;
-  if (!params_.reference_mode) {
-    base = TrainingWorkspace::build(x);
-    if (params_.split_mode == TreeParams::SplitMode::kHistogram) {
-      base.build_histograms(params_.max_bins);
-    }
-  }
-
-  trees_.assign(params_.num_trees, DecisionTree(TreeParams{}));
-  ThreadPool pool(params_.num_threads);
-  pool.parallel_for(0, jobs.size(), [&](std::size_t t) {
-    // Deadline::check() is owner-thread-only; pool workers use the
-    // thread-safe unamortized poll.  One tree is the cancellation
-    // granularity — parallel_for rethrows the kTimeout/kCancelled
-    // Error to the fit() caller.
-    if (params_.deadline != nullptr) params_.deadline->check_now();
-    TreeParams tree_params;
-    tree_params.max_depth = params_.max_depth;
-    tree_params.min_samples_leaf = params_.min_samples_leaf;
-    tree_params.max_features = max_features;
-    tree_params.seed = jobs[t].seed;
-    tree_params.split_mode = params_.split_mode;
-    tree_params.max_bins = params_.max_bins;
-    tree_params.reference_mode = params_.reference_mode;
-    DecisionTree tree(tree_params);
-    if (params_.reference_mode) {
-      const Matrix xs = x.gather_rows(jobs[t].sample);
-      std::vector<double> ys(jobs[t].sample.size());
-      for (std::size_t i = 0; i < ys.size(); ++i) ys[i] = y[jobs[t].sample[i]];
-      tree.fit(xs, ys);
-    } else if (params_.bootstrap) {
-      const TrainingWorkspace ws = base.for_sample(jobs[t].sample);
-      const Matrix xs = x.gather_rows(jobs[t].sample);
-      std::vector<double> ys(jobs[t].sample.size());
-      for (std::size_t i = 0; i < ys.size(); ++i) ys[i] = y[jobs[t].sample[i]];
-      tree.fit_with_workspace(ws, xs, ys);
-    } else {
-      tree.fit_with_workspace(base, x, y);
-    }
-    trees_[t] = std::move(tree);
-  });
+  fit_with_workspace(TrainingWorkspace::build(x), x, all, y);
 }
 
 void RandomForest::fit_with_workspace(const TrainingWorkspace& base,
@@ -99,23 +42,25 @@ void RandomForest::fit_with_workspace(const TrainingWorkspace& base,
   GMD_REQUIRE(!sample.empty(), "empty training data");
   GMD_REQUIRE(base.rows() == pool_x.rows() && base.features() == pool_x.cols(),
               "workspace does not match the pool matrix");
-  GMD_REQUIRE(
-      params_.split_mode != TreeParams::SplitMode::kHistogram ||
-          base.has_histograms(),
-      "histogram mode needs a workspace built with build_histograms()");
   for (const std::size_t idx : sample) {
     GMD_REQUIRE(idx < pool_x.rows(), "sample index out of range");
   }
+  fit_trees(&base, pool_x, sample, y);
+}
 
+void RandomForest::fit_trees(const TrainingWorkspace* base,
+                             const Matrix& pool_x,
+                             std::span<const std::size_t> sample,
+                             std::span<const double> y) {
   const std::size_t n = sample.size();
   const std::size_t p = pool_x.cols();
   const std::size_t max_features =
       params_.max_features > 0 ? params_.max_features : p;
 
-  // Same deterministic pre-draw as fit() over an n-row training set, so
-  // (in exact mode) the trees match fit(pool_x.gather_rows(sample), y)
-  // bit for bit: the bootstrap indices into the labeled subset are
-  // composed with `sample` to index the pool directly.
+  // Pre-draw per-tree seeds and bootstrap samples over the n-row
+  // training set deterministically, so the parallel build order cannot
+  // affect the result.  The draws index `sample` / `y`; composed with
+  // `sample` they index the pool directly.
   Rng rng(params_.seed);
   struct TreeJob {
     std::uint64_t seed = 0;
@@ -138,20 +83,26 @@ void RandomForest::fit_with_workspace(const TrainingWorkspace& base,
   trees_.assign(params_.num_trees, DecisionTree(TreeParams{}));
   ThreadPool pool(params_.num_threads);
   pool.parallel_for(0, jobs.size(), [&](std::size_t t) {
+    // Deadline::check() is owner-thread-only; pool workers use the
+    // thread-safe unamortized poll.  One tree is the cancellation
+    // granularity — parallel_for rethrows the kTimeout/kCancelled
+    // Error to the fit() caller.
     if (params_.deadline != nullptr) params_.deadline->check_now();
     TreeParams tree_params;
     tree_params.max_depth = params_.max_depth;
     tree_params.min_samples_leaf = params_.min_samples_leaf;
     tree_params.max_features = max_features;
     tree_params.seed = jobs[t].seed;
-    tree_params.split_mode = params_.split_mode;
-    tree_params.max_bins = params_.max_bins;
+    tree_params.reference_mode = base == nullptr;
     DecisionTree tree(tree_params);
-    const TrainingWorkspace ws = base.for_sample(jobs[t].pool_rows);
     const Matrix xs = pool_x.gather_rows(jobs[t].pool_rows);
     std::vector<double> ys(n);
     for (std::size_t i = 0; i < n; ++i) ys[i] = y[jobs[t].draw[i]];
-    tree.fit_with_workspace(ws, xs, ys);
+    if (base == nullptr) {
+      tree.fit(xs, ys);
+    } else {
+      tree.fit_with_workspace(base->for_sample(jobs[t].pool_rows), xs, ys);
+    }
     trees_[t] = std::move(tree);
   });
 }

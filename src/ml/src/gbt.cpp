@@ -48,9 +48,6 @@ void GradientBoosting::fit(const Matrix& x, std::span<const double> y) {
   std::unique_ptr<ThreadPool> pool;
   if (!params_.reference_mode) {
     base = TrainingWorkspace::build(x);
-    if (params_.split_mode == TreeParams::SplitMode::kHistogram) {
-      base.build_histograms(params_.max_bins);
-    }
     if (params_.num_threads != 1 && n >= params_.parallel_min_rows) {
       pool = std::make_unique<ThreadPool>(params_.num_threads);
     }
@@ -66,8 +63,6 @@ void GradientBoosting::fit(const Matrix& x, std::span<const double> y) {
     tree_params.max_depth = params_.max_depth;
     tree_params.min_samples_leaf = params_.min_samples_leaf;
     tree_params.seed = rng();
-    tree_params.split_mode = params_.split_mode;
-    tree_params.max_bins = params_.max_bins;
     tree_params.reference_mode = params_.reference_mode;
     tree_params.pool = pool.get();
     tree_params.parallel_min_rows = params_.parallel_min_rows;

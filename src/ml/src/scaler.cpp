@@ -106,43 +106,4 @@ std::vector<double> MinMaxScaler::inverse_transform(
   return out;
 }
 
-void StandardScaler::fit(const Matrix& x) {
-  GMD_REQUIRE(x.rows() >= 1, "cannot fit scaler on empty data");
-  means_.assign(x.cols(), 0.0);
-  stddevs_.assign(x.cols(), 0.0);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto row = x.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) means_[c] += row[c];
-  }
-  const auto n = static_cast<double>(x.rows());
-  for (double& m : means_) m /= n;
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto row = x.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      const double d = row[c] - means_[c];
-      stddevs_[c] += d * d;
-    }
-  }
-  for (double& s : stddevs_) s = std::sqrt(s / n);
-}
-
-Matrix StandardScaler::transform(const Matrix& x) const {
-  GMD_REQUIRE(fitted(), "scaler not fitted");
-  GMD_REQUIRE(x.cols() == means_.size(), "column count mismatch");
-  Matrix out(x.rows(), x.cols());
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    const auto src = x.row(r);
-    const auto dst = out.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) {
-      dst[c] = stddevs_[c] > 0.0 ? (src[c] - means_[c]) / stddevs_[c] : 0.0;
-    }
-  }
-  return out;
-}
-
-Matrix StandardScaler::fit_transform(const Matrix& x) {
-  fit(x);
-  return transform(x);
-}
-
 }  // namespace gmd::ml

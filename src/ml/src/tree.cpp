@@ -1,7 +1,6 @@
 #include "gmd/ml/tree.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <istream>
 #include <limits>
@@ -18,24 +17,21 @@ DecisionTree::DecisionTree(const TreeParams& params) : params_(params) {
   GMD_REQUIRE(params.max_depth >= 1, "max_depth must be >= 1");
   GMD_REQUIRE(params.min_samples_split >= 2, "min_samples_split must be >= 2");
   GMD_REQUIRE(params.min_samples_leaf >= 1, "min_samples_leaf must be >= 1");
-  GMD_REQUIRE(params.max_bins >= 2 && params.max_bins <= 256,
-              "max_bins must be in [2, 256]");
 }
 
 namespace {
 
-/// Weighted mean of y over indices[begin, end).
-double subset_mean(std::span<const double> y, std::span<const double> w,
+/// Mean of y over indices[begin, end).
+double subset_mean(std::span<const double> y,
                    std::span<const std::size_t> indices, std::size_t begin,
                    std::size_t end) {
   double sum = 0.0;
-  double weight = 0.0;
+  double count = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
-    const double wi = w.empty() ? 1.0 : w[indices[i]];
-    sum += wi * y[indices[i]];
-    weight += wi;
+    sum += y[indices[i]];
+    count += 1.0;
   }
-  return weight > 0.0 ? sum / weight : 0.0;
+  return count > 0.0 ? sum / count : 0.0;
 }
 
 }  // namespace
@@ -43,13 +39,12 @@ double subset_mean(std::span<const double> y, std::span<const double> w,
 namespace detail {
 
 /// Grows one tree over a presorted TrainingWorkspace.  Node-local state
-/// is three parallel structures kept in lockstep:
+/// is two parallel structures kept in lockstep:
 ///   - indices_: the seed engine's row array, partitioned with the same
 ///     std::partition call so leaf means sum in the identical order;
-///   - order_/values_ (exact mode): per-feature mutable copies of the
-///     workspace's sorted rows, split stably at each node so a node's
-///     segment is always sorted by (value, row) without re-sorting;
-///   - the workspace's immutable bin codes (histogram mode).
+///   - order_/values_: per-feature mutable copies of the workspace's
+///     sorted rows, split stably at each node so a node's segment is
+///     always sorted by (value, row) without re-sorting.
 /// Per-feature split search is side-effect free, so it can fan out on a
 /// ThreadPool; candidates are reduced in feature order with the same
 /// "improves by > 1e-15" rule, making the result independent of thread
@@ -57,29 +52,24 @@ namespace detail {
 class TreeBuilder {
  public:
   TreeBuilder(DecisionTree& tree, const TrainingWorkspace& ws,
-              const Matrix& x, std::span<const double> y,
-              std::span<const double> w)
-      : tree_(tree), ws_(ws), x_(x), y_(y), w_(w),
-        histogram_(tree.params_.split_mode ==
-                   TreeParams::SplitMode::kHistogram) {}
+              const Matrix& x, std::span<const double> y)
+      : tree_(tree), ws_(ws), x_(x), y_(y) {}
 
   void run() {
     const std::size_t n = x_.rows();
     const std::size_t p = x_.cols();
     indices_.resize(n);
     std::iota(indices_.begin(), indices_.end(), std::size_t{0});
-    if (!histogram_) {
-      order_.resize(p);
-      values_.resize(p);
-      for (std::size_t f = 0; f < p; ++f) {
-        const auto order = ws_.sorted_order(f);
-        const auto values = ws_.sorted_values(f);
-        order_[f].assign(order.begin(), order.end());
-        values_[f].assign(values.begin(), values.end());
-      }
-      scratch_order_.resize(n);
-      scratch_values_.resize(n);
+    order_.resize(p);
+    values_.resize(p);
+    for (std::size_t f = 0; f < p; ++f) {
+      const auto order = ws_.sorted_order(f);
+      const auto values = ws_.sorted_values(f);
+      order_[f].assign(order.begin(), order.end());
+      values_[f].assign(values.begin(), values.end());
     }
+    scratch_order_.resize(n);
+    scratch_values_.resize(n);
     mark_.assign(n, 0);
     Rng rng(tree_.params_.seed);
     build_node(0, n, 1, rng);
@@ -99,7 +89,7 @@ class TreeBuilder {
     const std::size_t count = end - begin;
     const auto node_id = static_cast<std::uint32_t>(tree_.nodes_.size());
     tree_.nodes_.emplace_back();
-    tree_.nodes_[node_id].value = subset_mean(y_, w_, indices_, begin, end);
+    tree_.nodes_[node_id].value = subset_mean(y_, indices_, begin, end);
 
     if (depth >= params.max_depth || count < params.min_samples_split) {
       return node_id;
@@ -117,8 +107,7 @@ class TreeBuilder {
 
     std::vector<Candidate> candidates(feature_count);
     const auto search_one = [&](std::size_t fi) {
-      candidates[fi] = histogram_ ? search_histogram(features[fi], begin, end)
-                                  : search_exact(features[fi], begin, end);
+      candidates[fi] = search(features[fi], begin, end);
     };
     if (params.pool != nullptr && count >= params.parallel_min_rows &&
         feature_count > 1) {
@@ -154,11 +143,11 @@ class TreeBuilder {
     return node_id;
   }
 
-  /// Exact mode: one pass over the node's presorted segment replaces
-  /// the reference engine's gather + sort, with the identical
-  /// prefix-sum arithmetic in the identical order.
-  Candidate search_exact(std::size_t feature, std::size_t begin,
-                         std::size_t end) const {
+  /// One pass over the node's presorted segment replaces the reference
+  /// engine's gather + sort, with the identical prefix-sum arithmetic in
+  /// the identical order.
+  Candidate search(std::size_t feature, std::size_t begin,
+                   std::size_t end) const {
     const TreeParams& params = tree_.params_;
     const std::uint32_t* ord = order_[feature].data();
     const double* vals = values_[feature].data();
@@ -166,24 +155,22 @@ class TreeBuilder {
     if (vals[begin] == vals[end - 1]) return cand;  // constant
     const std::size_t count = end - begin;
 
-    // Prefix sums of w, w*y, w*y^2 for O(1) SSE at every cut.
+    // Prefix sums of 1, y, y^2 for O(1) SSE at every cut.
     double total_w = 0.0, total_sum = 0.0, total_sq = 0.0;
     for (std::size_t i = begin; i < end; ++i) {
       const std::size_t idx = ord[i];
-      const double wi = w_.empty() ? 1.0 : w_[idx];
-      total_w += wi;
-      total_sum += wi * y_[idx];
-      total_sq += wi * y_[idx] * y_[idx];
+      total_w += 1.0;
+      total_sum += y_[idx];
+      total_sq += y_[idx] * y_[idx];
     }
     const double parent_sse = total_sq - total_sum * total_sum / total_w;
 
     double left_w = 0.0, left_sum = 0.0, left_sq = 0.0;
     for (std::size_t i = begin; i + 1 < end; ++i) {
       const std::size_t idx = ord[i];
-      const double wi = w_.empty() ? 1.0 : w_[idx];
-      left_w += wi;
-      left_sum += wi * y_[idx];
-      left_sq += wi * y_[idx] * y_[idx];
+      left_w += 1.0;
+      left_sum += y_[idx];
+      left_sq += y_[idx] * y_[idx];
       if (vals[i] == vals[i + 1]) continue;  // not a valid cut
       const std::size_t left_n = i + 1 - begin;
       const std::size_t right_n = count - left_n;
@@ -206,70 +193,6 @@ class TreeBuilder {
     return cand;
   }
 
-  /// Histogram mode: accumulate the node's rows into <= 256 buckets,
-  /// then scan bucket boundaries — O(rows + bins) per feature.
-  Candidate search_histogram(std::size_t feature, std::size_t begin,
-                             std::size_t end) const {
-    const TreeParams& params = tree_.params_;
-    Candidate cand;
-    const std::size_t bins = ws_.num_bins(feature);
-    if (bins < 2) return cand;  // constant feature
-
-    struct Acc {
-      double w = 0.0, sum = 0.0, sq = 0.0;
-      std::size_t n = 0;
-    };
-    std::array<Acc, 256> acc{};
-    const std::uint8_t* codes = ws_.bin_codes(feature).data();
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t idx = indices_[i];
-      const double wi = w_.empty() ? 1.0 : w_[idx];
-      Acc& a = acc[codes[idx]];
-      a.w += wi;
-      a.sum += wi * y_[idx];
-      a.sq += wi * y_[idx] * y_[idx];
-      ++a.n;
-    }
-
-    double total_w = 0.0, total_sum = 0.0, total_sq = 0.0;
-    std::size_t occupied = 0;
-    for (std::size_t b = 0; b < bins; ++b) {
-      if (acc[b].n > 0) ++occupied;
-      total_w += acc[b].w;
-      total_sum += acc[b].sum;
-      total_sq += acc[b].sq;
-    }
-    if (occupied < 2) return cand;  // node is constant in this feature
-    const double parent_sse = total_sq - total_sum * total_sum / total_w;
-    const std::size_t count = end - begin;
-
-    double left_w = 0.0, left_sum = 0.0, left_sq = 0.0;
-    std::size_t left_n = 0;
-    for (std::size_t b = 0; b + 1 < bins; ++b) {
-      left_w += acc[b].w;
-      left_sum += acc[b].sum;
-      left_sq += acc[b].sq;
-      left_n += acc[b].n;
-      const std::size_t right_n = count - left_n;
-      if (left_n < params.min_samples_leaf ||
-          right_n < params.min_samples_leaf) {
-        continue;
-      }
-      const double right_w = total_w - left_w;
-      const double right_sum = total_sum - left_sum;
-      const double right_sq = total_sq - left_sq;
-      const double sse = (left_sq - left_sum * left_sum / left_w) +
-                         (right_sq - right_sum * right_sum / right_w);
-      const double gain = parent_sse - sse;
-      if (gain > cand.gain + 1e-15) {
-        cand.gain = gain;
-        cand.threshold = ws_.bin_threshold(feature, b);
-        cand.found = true;
-      }
-    }
-    return cand;
-  }
-
   /// Partitions indices_[begin, end) exactly as the reference engine
   /// (same std::partition, same predicate outcomes), then splits every
   /// feature's sorted segment stably so both children stay presorted.
@@ -285,27 +208,25 @@ class TreeBuilder {
         [this](std::size_t idx) { return mark_[idx] != 0; });
     const auto mid = static_cast<std::size_t>(mid_iter - indices_.begin());
 
-    if (!histogram_) {
-      for (std::size_t f = 0; f < order_.size(); ++f) {
-        std::uint32_t* ord = order_[f].data();
-        double* vals = values_[f].data();
-        std::size_t out = begin;
-        std::size_t spill = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          if (mark_[ord[i]] != 0) {
-            ord[out] = ord[i];
-            vals[out] = vals[i];
-            ++out;
-          } else {
-            scratch_order_[spill] = ord[i];
-            scratch_values_[spill] = vals[i];
-            ++spill;
-          }
+    for (std::size_t f = 0; f < order_.size(); ++f) {
+      std::uint32_t* ord = order_[f].data();
+      double* vals = values_[f].data();
+      std::size_t out = begin;
+      std::size_t spill = 0;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (mark_[ord[i]] != 0) {
+          ord[out] = ord[i];
+          vals[out] = vals[i];
+          ++out;
+        } else {
+          scratch_order_[spill] = ord[i];
+          scratch_values_[spill] = vals[i];
+          ++spill;
         }
-        GMD_ASSERT(out == mid, "feature order out of sync with indices");
-        std::copy_n(scratch_order_.data(), spill, ord + out);
-        std::copy_n(scratch_values_.data(), spill, vals + out);
       }
+      GMD_ASSERT(out == mid, "feature order out of sync with indices");
+      std::copy_n(scratch_order_.data(), spill, ord + out);
+      std::copy_n(scratch_values_.data(), spill, vals + out);
     }
     return mid;
   }
@@ -314,11 +235,9 @@ class TreeBuilder {
   const TrainingWorkspace& ws_;
   const Matrix& x_;
   std::span<const double> y_;
-  std::span<const double> w_;
-  bool histogram_;
 
   std::vector<std::size_t> indices_;
-  std::vector<std::vector<std::uint32_t>> order_;  ///< Exact mode only.
+  std::vector<std::vector<std::uint32_t>> order_;  ///< Per feature.
   std::vector<std::vector<double>> values_;        ///< Aligned with order_.
   std::vector<std::uint8_t> mark_;                 ///< Left membership by row.
   std::vector<std::uint32_t> scratch_order_;
@@ -328,61 +247,44 @@ class TreeBuilder {
 }  // namespace detail
 
 void DecisionTree::fit(const Matrix& x, std::span<const double> y) {
-  fit_weighted(x, y, {});
-}
-
-void DecisionTree::fit_weighted(const Matrix& x, std::span<const double> y,
-                                std::span<const double> weights) {
   GMD_REQUIRE(x.rows() == y.size(), "X/y row mismatch");
   GMD_REQUIRE(x.rows() >= 1, "empty training data");
-  GMD_REQUIRE(weights.empty() || weights.size() == y.size(),
-              "weights size mismatch");
   if (params_.reference_mode) {
     nodes_.clear();
     depth_ = 0;
     std::vector<std::size_t> indices(x.rows());
     std::iota(indices.begin(), indices.end(), std::size_t{0});
     Rng rng(params_.seed);
-    build_reference(x, y, weights, indices, 0, indices.size(), 1, rng);
+    build_reference(x, y, indices, 0, indices.size(), 1, rng);
     return;
   }
-  TrainingWorkspace workspace = TrainingWorkspace::build(x);
-  if (params_.split_mode == TreeParams::SplitMode::kHistogram) {
-    workspace.build_histograms(params_.max_bins);
-  }
-  fit_with_workspace(workspace, x, y, weights);
+  fit_with_workspace(TrainingWorkspace::build(x), x, y);
 }
 
 void DecisionTree::fit_with_workspace(const TrainingWorkspace& workspace,
                                       const Matrix& x,
-                                      std::span<const double> y,
-                                      std::span<const double> weights) {
+                                      std::span<const double> y) {
   GMD_REQUIRE(x.rows() == y.size(), "X/y row mismatch");
   GMD_REQUIRE(x.rows() >= 1, "empty training data");
-  GMD_REQUIRE(weights.empty() || weights.size() == y.size(),
-              "weights size mismatch");
   GMD_REQUIRE(workspace.rows() == x.rows() &&
                   workspace.features() == x.cols(),
               "workspace shape mismatch");
   GMD_REQUIRE(!params_.reference_mode,
               "reference_mode trees do not take a workspace");
-  GMD_REQUIRE(params_.split_mode != TreeParams::SplitMode::kHistogram ||
-                  workspace.has_histograms(),
-              "histogram split mode needs workspace histograms");
   nodes_.clear();
   depth_ = 0;
-  detail::TreeBuilder(*this, workspace, x, y, weights).run();
+  detail::TreeBuilder(*this, workspace, x, y).run();
 }
 
 std::uint32_t DecisionTree::build_reference(
-    const Matrix& x, std::span<const double> y, std::span<const double> w,
+    const Matrix& x, std::span<const double> y,
     std::vector<std::size_t>& indices, std::size_t begin, std::size_t end,
     unsigned depth, gmd::Rng& rng) {
   depth_ = std::max(depth_, depth);
   const std::size_t count = end - begin;
   const auto node_id = static_cast<std::uint32_t>(nodes_.size());
   nodes_.emplace_back();
-  nodes_[node_id].value = subset_mean(y, w, indices, begin, end);
+  nodes_[node_id].value = subset_mean(y, indices, begin, end);
 
   if (depth >= params_.max_depth || count < params_.min_samples_split) {
     return node_id;
@@ -414,14 +316,13 @@ std::uint32_t DecisionTree::build_reference(
     std::sort(sorted.begin(), sorted.end());
     if (sorted.front().first == sorted.back().first) continue;  // constant
 
-    // Prefix sums of w, w*y, w*y^2 for O(1) SSE at every cut.
+    // Prefix sums of 1, y, y^2 for O(1) SSE at every cut.
     double left_w = 0.0, left_sum = 0.0, left_sq = 0.0;
     double total_w = 0.0, total_sum = 0.0, total_sq = 0.0;
     for (const auto& [value, idx] : sorted) {
-      const double wi = w.empty() ? 1.0 : w[idx];
-      total_w += wi;
-      total_sum += wi * y[idx];
-      total_sq += wi * y[idx] * y[idx];
+      total_w += 1.0;
+      total_sum += y[idx];
+      total_sq += y[idx] * y[idx];
       (void)value;
     }
     const double parent_sse =
@@ -429,10 +330,9 @@ std::uint32_t DecisionTree::build_reference(
 
     for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
       const auto& [value, idx] = sorted[i];
-      const double wi = w.empty() ? 1.0 : w[idx];
-      left_w += wi;
-      left_sum += wi * y[idx];
-      left_sq += wi * y[idx] * y[idx];
+      left_w += 1.0;
+      left_sum += y[idx];
+      left_sq += y[idx] * y[idx];
       if (value == sorted[i + 1].first) continue;  // not a valid cut
       const std::size_t left_n = i + 1;
       const std::size_t right_n = count - left_n;
@@ -467,9 +367,9 @@ std::uint32_t DecisionTree::build_reference(
   GMD_ASSERT(mid > begin && mid < end, "degenerate partition");
 
   const std::uint32_t left =
-      build_reference(x, y, w, indices, begin, mid, depth + 1, rng);
+      build_reference(x, y, indices, begin, mid, depth + 1, rng);
   const std::uint32_t right =
-      build_reference(x, y, w, indices, mid, end, depth + 1, rng);
+      build_reference(x, y, indices, mid, end, depth + 1, rng);
   nodes_[node_id].feature = static_cast<std::uint32_t>(best_feature);
   nodes_[node_id].threshold = best_threshold;
   nodes_[node_id].gain = best_gain;

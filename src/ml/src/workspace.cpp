@@ -37,58 +37,6 @@ TrainingWorkspace TrainingWorkspace::build(const Matrix& x) {
   return ws;
 }
 
-void TrainingWorkspace::build_histograms(std::size_t max_bins) {
-  GMD_REQUIRE(max_bins >= 2 && max_bins <= 256,
-              "histogram bins must be in [2, 256], got " << max_bins);
-  GMD_REQUIRE(!empty(), "build_histograms before build");
-  if (max_bins_ == max_bins) return;  // already built at this resolution
-  max_bins_ = max_bins;
-  codes_.assign(features_, {});
-  bin_edges_.assign(features_, {});
-  const std::size_t n = rows_;
-  for (std::size_t f = 0; f < features_; ++f) {
-    const auto& order = order_[f];
-    const auto& values = values_[f];
-    auto& codes = codes_[f];
-    auto& edges = bin_edges_[f];
-    codes.resize(n);
-
-    // Count distinct values to pick between one-bucket-per-value
-    // (lossless) and quantile cuts.
-    std::size_t distinct = 1;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (values[i] != values[i - 1]) ++distinct;
-    }
-    const bool lossless = distinct <= max_bins;
-
-    std::size_t bin = 0;
-    std::size_t filled = 0;  // rows assigned to closed bins + current one
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t run_end = i + 1;
-      while (run_end < n && values[run_end] == values[i]) ++run_end;
-      for (std::size_t k = i; k < run_end; ++k) {
-        codes[order[k]] = static_cast<std::uint8_t>(bin);
-      }
-      filled += run_end - i;
-      if (run_end < n) {
-        // Close the bucket after this value run?  Lossless mode always
-        // does; quantile mode closes once the bucket reached its share
-        // of rows (never splitting a value run, and leaving at least
-        // one run per remaining bucket).
-        const bool close =
-            lossless ||
-            (filled * max_bins >= n * (bin + 1) && bin + 1 < max_bins);
-        if (close) {
-          edges.push_back((values[run_end - 1] + values[run_end]) / 2.0);
-          ++bin;
-        }
-      }
-      i = run_end;
-    }
-  }
-}
-
 TrainingWorkspace TrainingWorkspace::for_sample(
     std::span<const std::size_t> sample) const {
   GMD_REQUIRE(!empty(), "for_sample before build");
@@ -150,17 +98,6 @@ TrainingWorkspace TrainingWorkspace::for_sample(
       out_values.insert(out_values.end(), out_order.size() - start,
                         values[i]);
       i = run_end;
-    }
-  }
-
-  if (has_histograms()) {
-    ws.max_bins_ = max_bins_;
-    ws.bin_edges_ = bin_edges_;
-    ws.codes_.resize(features_);
-    for (std::size_t f = 0; f < features_; ++f) {
-      auto& codes = ws.codes_[f];
-      codes.resize(m);
-      for (std::size_t g = 0; g < m; ++g) codes[g] = codes_[f][sample[g]];
     }
   }
   return ws;

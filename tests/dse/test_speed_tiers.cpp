@@ -1,5 +1,5 @@
 /// Sweep-level speed tiers: the shared predecoded-trace replay must be
-/// bit-identical to the raw event path, and chunk-sampled sweeps must
+/// bit-identical to the raw event path of simulate_point, and chunk-sampled sweeps must
 /// carry per-row confidence intervals through rows, CSV tables, and the
 /// resume journal — with the sampling geometry part of the journal
 /// identity.
@@ -78,18 +78,19 @@ void expect_rows_identical(const SweepRow& a, const SweepRow& b) {
 // Shared predecode -----------------------------------------------------
 
 TEST(SweepSharedPredecode, OffStillIdentical) {
+  // The sweep replays shared predecoded streams; simulate_point runs
+  // the raw event path per point.  Both must give the same bits.
   const auto trace = bfs_trace(96);
   const auto points = reduced_design_space();
   SweepOptions shared;
   shared.num_threads = 2;
-  const auto baseline = run_sweep(points, trace, shared);
-  SweepOptions options;
-  options.num_threads = 2;
-  options.share_predecoded_traces = false;  // raw event path per point
-  const auto rows = run_sweep(points, trace, options);
-  ASSERT_EQ(rows.size(), baseline.size());
+  const auto rows = run_sweep(points, trace, shared);
+  ASSERT_EQ(rows.size(), points.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    expect_rows_identical(rows[i], baseline[i]);
+    SweepRow raw;
+    raw.point = points[i];
+    raw.metrics = simulate_point(points[i], trace);
+    expect_rows_identical(rows[i], raw);
   }
 }
 

@@ -88,22 +88,5 @@ TEST(MinMaxScaler, NonFiniteTargetValueIsTypedInvalidData) {
   }
 }
 
-TEST(StandardScaler, ZeroMeanUnitVariance) {
-  const Matrix x = Matrix::from_rows({{1.0}, {3.0}, {5.0}});
-  StandardScaler scaler;
-  const Matrix t = scaler.fit_transform(x);
-  EXPECT_NEAR(t.at(0, 0) + t.at(1, 0) + t.at(2, 0), 0.0, 1e-12);
-  EXPECT_NEAR(scaler.means()[0], 3.0, 1e-12);
-  // Population stddev of {1,3,5} is sqrt(8/3).
-  EXPECT_NEAR(scaler.stddevs()[0], std::sqrt(8.0 / 3.0), 1e-12);
-}
-
-TEST(StandardScaler, ConstantColumnMapsToZero) {
-  const Matrix x = Matrix::from_rows({{2.0}, {2.0}, {2.0}});
-  StandardScaler scaler;
-  const Matrix t = scaler.fit_transform(x);
-  for (std::size_t r = 0; r < 3; ++r) EXPECT_DOUBLE_EQ(t.at(r, 0), 0.0);
-}
-
 }  // namespace
 }  // namespace gmd::ml

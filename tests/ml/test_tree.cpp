@@ -112,17 +112,6 @@ TEST(DecisionTree, SplitsOnTheInformativeFeature) {
   EXPECT_DOUBLE_EQ(tree.predict_one(std::vector<double>{0.1, 0.9}), 0.0);
 }
 
-TEST(DecisionTree, WeightedFitPrefersHeavySamples) {
-  const Matrix x = Matrix::from_rows({{0.0}, {1.0}});
-  const std::vector<double> y{0.0, 10.0};
-  const std::vector<double> w{100.0, 1.0};
-  TreeParams params;
-  params.max_depth = 1;  // force one leaf: prediction is weighted mean
-  DecisionTree tree(params);
-  tree.fit_weighted(x, y, w);
-  EXPECT_NEAR(tree.predict_one(std::vector<double>{0.5}), 10.0 / 101.0, 1e-12);
-}
-
 TEST(DecisionTree, MisuseErrors) {
   DecisionTree tree;
   EXPECT_THROW((void)tree.predict_one(std::vector<double>{1.0}), Error);

@@ -14,8 +14,6 @@
 #include "gmd/common/rng.hpp"
 #include "gmd/ml/forest.hpp"
 #include "gmd/ml/gbt.hpp"
-#include "gmd/ml/metrics.hpp"
-#include "gmd/ml/serialize.hpp"
 #include "gmd/ml/tree.hpp"
 
 namespace gmd::ml {
@@ -63,22 +61,6 @@ TEST(TreeEquivalence, ExactEngineMatchesReference) {
     b.fit(data.x, data.y);
     EXPECT_EQ(serialized(a), serialized(b)) << "seed " << seed;
   }
-}
-
-TEST(TreeEquivalence, WeightedFitMatchesReference) {
-  const TestData data = make_data(120, 5);
-  Rng rng(99);
-  std::vector<double> weights;
-  weights.reserve(data.y.size());
-  for (std::size_t i = 0; i < data.y.size(); ++i) {
-    weights.push_back(0.5 + rng.next_double());
-  }
-  TreeParams reference;
-  reference.reference_mode = true;
-  DecisionTree a(reference), b;
-  a.fit_weighted(data.x, data.y, weights);
-  b.fit_weighted(data.x, data.y, weights);
-  EXPECT_EQ(serialized(a), serialized(b));
 }
 
 TEST(TreeEquivalence, RandomFeatureSubsetsMatchReference) {
@@ -175,71 +157,6 @@ TEST(GbtEquivalence, SubsampledBoostingMatchesReference) {
   a.fit(data.x, data.y);
   b.fit(data.x, data.y);
   EXPECT_EQ(serialized(a), serialized(b));
-}
-
-TEST(HistogramMode, LosslessWhenEveryFeatureFitsTheBins) {
-  // All features here have few distinct values, so histogram cuts are
-  // exactly the midpoint thresholds the exact search emits: the tree
-  // picks the same splits and leaves.  (The recorded gains sum the
-  // node's rows bucket-by-bucket, so only they may differ in the last
-  // ulps — structure, thresholds, and predictions must be identical.)
-  Rng rng(43);
-  std::vector<std::vector<double>> rows;
-  std::vector<double> y;
-  for (std::size_t i = 0; i < 200; ++i) {
-    const double a = static_cast<double>(rng.next_below(8));
-    const double b = static_cast<double>(rng.next_below(4)) * 10.0;
-    rows.push_back({a, b});
-    y.push_back(a * a - 2.0 * b + 0.1 * rng.next_normal());
-  }
-  const Matrix x = Matrix::from_rows(rows);
-
-  TreeParams exact;
-  TreeParams hist;
-  hist.split_mode = TreeParams::SplitMode::kHistogram;
-  hist.max_bins = 16;
-  DecisionTree a(exact), b(hist);
-  a.fit(x, y);
-  b.fit(x, y);
-  EXPECT_EQ(a.node_count(), b.node_count());
-  EXPECT_EQ(a.depth(), b.depth());
-  const std::vector<double> pa = a.predict(x);
-  const std::vector<double> pb = b.predict(x);
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(pa[i], pb[i]) << "row " << i;
-  }
-}
-
-TEST(HistogramMode, ApproximatesContinuousDataWell) {
-  const TestData data = make_data(400, 47);
-  GbtParams hist;
-  hist.num_stages = 60;
-  hist.split_mode = TreeParams::SplitMode::kHistogram;
-  hist.max_bins = 64;
-  GradientBoosting model(hist);
-  model.fit(data.x, data.y);
-  EXPECT_GT(r2_score(data.y, model.predict(data.x)), 0.9);
-}
-
-TEST(HistogramMode, ForestRoundTripsThroughSerialization) {
-  const TestData data = make_data(80, 53);
-  ForestParams params;
-  params.num_trees = 8;
-  params.split_mode = TreeParams::SplitMode::kHistogram;
-  params.max_bins = 32;
-  params.num_threads = 2;
-  RandomForest model(params);
-  model.fit(data.x, data.y);
-
-  std::stringstream ss;
-  save_model(ss, model);
-  const auto loaded = load_model(ss);
-  const std::vector<double> before = model.predict(data.x);
-  const std::vector<double> after = loaded->predict(data.x);
-  ASSERT_EQ(before.size(), after.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i], after[i]);
-  }
 }
 
 }  // namespace

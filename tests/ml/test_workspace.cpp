@@ -78,78 +78,9 @@ TEST(TrainingWorkspace, ForSampleMatchesDirectBuildOfGatheredMatrix) {
   }
 }
 
-TEST(TrainingWorkspace, LosslessHistogramsKeepOneBucketPerDistinctValue) {
-  const Matrix x = make_mixed(200, 5);
-  TrainingWorkspace ws = TrainingWorkspace::build(x);
-  ws.build_histograms(32);
-  ASSERT_TRUE(ws.has_histograms());
-
-  // Feature 1 has 5 distinct values, feature 2 is constant, feature 3
-  // has <= 16 — all fit losslessly in 32 bins.
-  EXPECT_EQ(ws.num_bins(1), 5u);
-  EXPECT_EQ(ws.num_bins(2), 1u);
-  EXPECT_LE(ws.num_bins(3), 16u);
-  for (const std::size_t f : {1u, 2u, 3u}) {
-    for (std::size_t r = 0; r < ws.rows(); ++r) {
-      EXPECT_LT(ws.bin_of(f, r), ws.num_bins(f));
-    }
-  }
-  // Codes must be monotone in the value: bucket thresholds separate
-  // every pair of distinct values.
-  for (std::size_t a = 0; a < 50; ++a) {
-    for (std::size_t b = a + 1; b < 50; ++b) {
-      if (x.at(a, 1) < x.at(b, 1)) {
-        EXPECT_LT(ws.bin_of(1, a), ws.bin_of(1, b));
-      } else if (x.at(a, 1) == x.at(b, 1)) {
-        EXPECT_EQ(ws.bin_of(1, a), ws.bin_of(1, b));
-      }
-    }
-  }
-}
-
-TEST(TrainingWorkspace, QuantileHistogramsRespectTheBinBudget) {
-  const Matrix x = make_mixed(1000, 13);
-  TrainingWorkspace ws = TrainingWorkspace::build(x);
-  ws.build_histograms(16);
-  // Feature 0 is continuous (1000 distinct values): quantile mode.
-  EXPECT_LE(ws.num_bins(0), 16u);
-  EXPECT_GE(ws.num_bins(0), 8u);  // roughly balanced buckets
-  // Thresholds order-separate the buckets.
-  for (std::size_t r = 0; r < ws.rows(); ++r) {
-    const std::uint8_t code = ws.bin_of(0, r);
-    if (code > 0) {
-      EXPECT_GT(x.at(r, 0), ws.bin_threshold(0, code - 1));
-    }
-    if (code + 1u < ws.num_bins(0)) {
-      EXPECT_LE(x.at(r, 0), ws.bin_threshold(0, code));
-    }
-  }
-}
-
-TEST(TrainingWorkspace, ForSampleCarriesHistogramCodes) {
-  const Matrix x = make_mixed(120, 17);
-  TrainingWorkspace base = TrainingWorkspace::build(x);
-  base.build_histograms(16);
-
-  Rng rng(9);
-  std::vector<std::size_t> sample(60);
-  for (auto& idx : sample) idx = rng.next_below(120);
-  const TrainingWorkspace derived = base.for_sample(sample);
-  ASSERT_TRUE(derived.has_histograms());
-  EXPECT_EQ(derived.max_bins(), base.max_bins());
-  for (std::size_t f = 0; f < base.features(); ++f) {
-    ASSERT_EQ(derived.num_bins(f), base.num_bins(f));
-    for (std::size_t g = 0; g < sample.size(); ++g) {
-      EXPECT_EQ(derived.bin_of(f, g), base.bin_of(f, sample[g]));
-    }
-  }
-}
-
 TEST(TrainingWorkspace, RejectsBadInputs) {
   const Matrix x = make_mixed(10, 1);
   TrainingWorkspace ws = TrainingWorkspace::build(x);
-  EXPECT_THROW(ws.build_histograms(1), Error);
-  EXPECT_THROW(ws.build_histograms(257), Error);
   const std::vector<std::size_t> out_of_range{10};
   EXPECT_THROW(ws.for_sample(out_of_range), Error);
   EXPECT_THROW(ws.for_sample({}), Error);

@@ -122,8 +122,10 @@ TEST_F(GmdtSweepEquivalence, StoreFedSweepIsBitIdenticalToTextFed) {
   }
 }
 
-TEST_F(GmdtSweepEquivalence, StoreFedSweepMatchesWithSharingDisabled) {
-  const std::string store_path = dir_ + "/nosharing.gmdt";
+TEST_F(GmdtSweepEquivalence, StoreFedSweepMatchesRawEventPath) {
+  // The store-fed sweep predecodes off the mapping; simulate_point over
+  // the decoded events runs the raw event path.
+  const std::string store_path = dir_ + "/rawpath.gmdt";
   trace::convert_gem5_to_gmdt(gem5_path_, store_path);
   const tracestore::TraceStoreReader store(store_path);
   const auto events = store.read_all();
@@ -132,13 +134,11 @@ TEST_F(GmdtSweepEquivalence, StoreFedSweepMatchesWithSharingDisabled) {
   points[0].kind = MemoryKind::kNvm;
   points[0].trcd = 50;
 
-  SweepOptions no_sharing;
-  no_sharing.share_predecoded_traces = false;
-  const auto baseline = run_sweep(points, events, no_sharing);
-  const auto store_rows = run_sweep(points, store, no_sharing);
+  const auto store_rows = run_sweep(points, store);
   ASSERT_EQ(store_rows.size(), 1u);
   ASSERT_TRUE(store_rows[0].ok()) << store_rows[0].error;
-  expect_metrics_bit_identical(baseline[0].metrics, store_rows[0].metrics);
+  expect_metrics_bit_identical(simulate_point(points[0], events),
+                               store_rows[0].metrics);
 }
 
 TEST_F(GmdtSweepEquivalence, WorkflowGmdtFormatMatchesTextFormat) {

@@ -3,36 +3,42 @@
 /// learning (GP maximum-variance acquisition) vs. random sampling of
 /// configurations to simulate, on a fixed held-out set.  Each label is
 /// one (in the paper: ~2-hour) simulator run, so label efficiency is
-/// simulation time saved.
+/// simulation time saved.  Both strategies run the explorer loop over
+/// the pool and simulate only what they acquire.
 
 #include <cstdio>
+#include <utility>
 
-#include "gmd/dse/active_learning.hpp"
+#include "gmd/dse/explorer.hpp"
 #include "support.hpp"
 
 int main() {
   using namespace gmd;
 
   const auto trace = bench::paper_trace();
-  const auto all = bench::paper_sweep(trace);
 
-  // 75/25 pool/holdout split by stride (deterministic, kind-balanced).
-  std::vector<dse::SweepRow> pool, holdout;
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    (i % 4 == 0 ? holdout : pool).push_back(all[i]);
+  // 75/25 pool/holdout split by stride (deterministic, kind-balanced);
+  // only the holdout is simulated up front.
+  const std::vector<dse::DesignPoint> points = dse::paper_design_space();
+  std::vector<dse::DesignPoint> pool_points, holdout_points;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    (i % 4 == 0 ? holdout_points : pool_points).push_back(points[i]);
   }
+  const dse::LazySpace pool = dse::LazySpace::of(std::move(pool_points));
+  const auto holdout = dse::run_sweep(holdout_points, trace);
 
-  dse::ActiveLearningOptions options;
-  options.initial_labels = 10;
-  options.label_budget = 90;
+  dse::ExplorerOptions options;
+  options.initial_samples = 10;
+  options.simulation_budget = 90;
   options.batch_size = 8;
   options.seed = 5;
 
   for (const std::string metric : {"power_w", "total_latency_cycles"}) {
-    const auto active =
-        dse::run_active_learning(pool, holdout, metric, options);
-    const auto random =
-        dse::run_random_sampling(pool, holdout, metric, options);
+    options.metric = metric;
+    options.acquisition = dse::Acquisition::kMaxVariance;
+    const auto active = dse::run_learning_curve(pool, trace, holdout, options);
+    options.acquisition = dse::Acquisition::kRandom;
+    const auto random = dse::run_learning_curve(pool, trace, holdout, options);
     std::printf("\n# metric: %s — holdout R2 vs simulation budget "
                 "(pool=%zu, holdout=%zu)\n",
                 metric.c_str(), pool.size(), holdout.size());

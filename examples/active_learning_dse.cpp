@@ -2,17 +2,20 @@
 /// Label-efficient DSE (the paper's §V future work): instead of
 /// simulating all configurations, an active learner picks which
 /// configuration to simulate next by GP predictive variance, and is
-/// compared against random sampling at every budget level.
+/// compared against random sampling at every budget level.  Both run
+/// the explorer loop over a pool of the reduced grid, simulating only
+/// what they acquire; only the holdout is simulated up front.
 ///
 /// Usage: active_learning_dse [--metric power_w] [--budget 60]
 
 #include <iomanip>
 #include <iostream>
+#include <utility>
 
 #include "gmd/common/cli.hpp"
 #include "gmd/common/error.hpp"
-#include "gmd/dse/active_learning.hpp"
 #include "gmd/dse/config_space.hpp"
+#include "gmd/dse/explorer.hpp"
 #include "gmd/dse/workload.hpp"
 
 int main(int argc, char** argv) {
@@ -34,28 +37,31 @@ int main(int argc, char** argv) {
         {.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices")),
          .seed = static_cast<std::uint64_t>(cli.get_int("seed"))});
 
-    // Oracle: pre-simulate the whole (reduced) space, then hide labels.
-    const auto all = dse::run_sweep(dse::reduced_design_space(), trace);
-    std::vector<dse::SweepRow> pool, holdout;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      (i % 4 == 0 ? holdout : pool).push_back(all[i]);
+    // Every fourth reduced-grid point is the holdout; the rest is the
+    // pool the learners draw from.
+    const std::vector<dse::DesignPoint> points = dse::reduced_design_space();
+    std::vector<dse::DesignPoint> pool_points, holdout_points;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      (i % 4 == 0 ? holdout_points : pool_points).push_back(points[i]);
     }
+    const dse::LazySpace pool = dse::LazySpace::of(std::move(pool_points));
+    const auto holdout = dse::run_sweep(holdout_points, trace);
     std::cout << "pool: " << pool.size() << " configurations, holdout: "
               << holdout.size() << "\n\n";
 
-    dse::ActiveLearningOptions options;
-    options.initial_labels = static_cast<std::size_t>(cli.get_int("initial"));
-    options.label_budget = static_cast<std::size_t>(cli.get_int("budget"));
+    dse::ExplorerOptions options;
+    options.metric = cli.get_string("metric");
+    options.acquisition = dse::Acquisition::kMaxVariance;
+    options.initial_samples = static_cast<std::size_t>(cli.get_int("initial"));
+    options.simulation_budget = static_cast<std::size_t>(cli.get_int("budget"));
     options.batch_size = static_cast<std::size_t>(cli.get_int("batch"));
     options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
-    const std::string metric = cli.get_string("metric");
-    const auto active =
-        dse::run_active_learning(pool, holdout, metric, options);
-    const auto random =
-        dse::run_random_sampling(pool, holdout, metric, options);
+    const auto active = dse::run_learning_curve(pool, trace, holdout, options);
+    options.acquisition = dse::Acquisition::kRandom;
+    const auto random = dse::run_learning_curve(pool, trace, holdout, options);
 
-    std::cout << "metric: " << metric << "\n";
+    std::cout << "metric: " << options.metric << "\n";
     std::cout << std::setw(8) << "labels" << std::setw(14) << "active R2"
               << std::setw(14) << "random R2" << "\n";
     for (std::size_t i = 0; i < active.curve.size(); ++i) {

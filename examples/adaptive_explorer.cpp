@@ -8,7 +8,7 @@
 /// Usage: adaptive_explorer [--workload bfs|dobfs|pagerank|cc|sssp|triangles]
 ///                          [--vertices N] [--space paper|reduced|million]
 ///                          [--metric NAME] [--model gp|rf]
-///                          [--acquisition variance|ei|best]
+///                          [--acquisition variance|ei|best|random]
 ///                          [--initial N] [--batch N] [--rounds N]
 ///                          [--budget N] [--top-k N] [--seed N]
 ///                          [--threads N] [--block N]
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
                   "target metric driving acquisition")
       .add_option("model", "gp", "surrogate family: gp | rf")
       .add_option("acquisition", "ei",
-                  "acquisition: variance | ei | best")
+                  "acquisition: variance | ei | best | random")
       .add_option("initial", "32", "deterministic seed sample size")
       .add_option("batch", "16", "points acquired per round")
       .add_option("rounds", "8", "acquisition rounds after the seed")

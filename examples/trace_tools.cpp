@@ -12,13 +12,8 @@
 ///   trace_tools unpack --input T.gmdt [--output T.nvmain.txt]
 ///   trace_tools info   --input T.gmdt
 ///   trace_tools verify --input T.gmdt
-///
-/// `unpack` also accepts the legacy packed binary format ("GMDTRC01");
-/// the container is sniffed from the file magic.
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -43,17 +38,6 @@ using namespace gmd;
 /// Default output path: the input with its extension replaced.
 std::string derive_output(const std::string& input, const char* extension) {
   return std::filesystem::path(input).replace_extension(extension).string();
-}
-
-/// First 8 bytes of a file, for container sniffing.
-std::array<char, 8> read_magic(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  GMD_REQUIRE_AS(ErrorCode::kIo, in.good(), "cannot open '" << path << "'");
-  std::array<char, 8> magic{};
-  in.read(magic.data(), magic.size());
-  GMD_REQUIRE_AS(ErrorCode::kIo, in.good(),
-                 "'" << path << "' is too short to hold a container magic");
-  return magic;
 }
 
 int run_pack(int argc, char** argv) {
@@ -112,7 +96,7 @@ int run_pack(int argc, char** argv) {
 
 int run_unpack(int argc, char** argv) {
   CliParser cli("trace_tools unpack",
-                "expand a GMDT store (or legacy binary trace) to NVMain text");
+                "expand a GMDT store to NVMain text");
   cli.add_option("input", "", "input container (required)")
       .add_option("output", "",
                   "output text trace (default: input with .nvmain.txt)")
@@ -124,27 +108,12 @@ int run_unpack(int argc, char** argv) {
   std::string output = cli.get_string("output");
   if (output.empty()) output = derive_output(input, ".nvmain.txt");
 
-  const auto magic = read_magic(input);
-  if (std::memcmp(magic.data(), tracestore::kMagic.data(), magic.size()) == 0) {
-    trace::ConvertOptions options;
-    options.num_threads = static_cast<std::size_t>(cli.get_int("threads"));
-    const trace::ConvertStats stats =
-        trace::convert_gmdt_to_nvmain(input, output, options);
-    std::cout << "unpacked " << stats.events_out << " events from "
-              << stats.chunks << " chunks -> " << output << "\n";
-    return 0;
-  }
-  // Legacy packed binary ("GMDTRC01"); read_binary_trace validates the
-  // magic and reports a typed error for anything unrecognized.
-  std::ifstream in(input, std::ios::binary);
-  GMD_REQUIRE_AS(ErrorCode::kIo, in.good(), "cannot open '" << input << "'");
-  const auto events = trace::read_binary_trace(in);
-  std::ofstream out(output);
-  GMD_REQUIRE_AS(ErrorCode::kIo, out.good(), "cannot write '" << output << "'");
-  trace::NvmainTraceWriter writer(out);
-  for (const auto& event : events) writer.on_event(event);
-  std::cout << "unpacked " << writer.lines_written()
-            << " events (legacy binary) -> " << output << "\n";
+  trace::ConvertOptions options;
+  options.num_threads = static_cast<std::size_t>(cli.get_int("threads"));
+  const trace::ConvertStats stats =
+      trace::convert_gmdt_to_nvmain(input, output, options);
+  std::cout << "unpacked " << stats.events_out << " events from "
+            << stats.chunks << " chunks -> " << output << "\n";
   return 0;
 }
 

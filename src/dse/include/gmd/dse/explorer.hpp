@@ -5,7 +5,7 @@
 /// ROADMAP item-4 engine: explore a >= 10^6-point space with only
 /// hundreds of simulations.
 ///
-/// Three layers:
+/// Four layers:
 ///   1. stream_score_topk — streams a LazySpace block-at-a-time through
 ///      a caller-supplied scorer sharded across a thread pool, keeping
 ///      only bounded top-K heaps (never all N scores).  Selection is a
@@ -13,7 +13,8 @@
 ///      bit-identical for any block size, thread count, or merge order.
 ///   2. Acquisition scorers over the fitted surrogate: max predictive
 ///      uncertainty (GP variance / forest spread), expected
-///      improvement, or best predicted value.
+///      improvement, best predicted value, or a seeded random
+///      permutation of the space (the random-sampling baseline).
 ///   3. run_explorer — deterministic seed sample -> simulate via
 ///      run_sweep -> train -> stream-score -> acquire batch -> repeat
 ///      under a round/simulation budget.  With a run directory, every
@@ -28,6 +29,10 @@
 ///        round <r> <count> <space index>...
 ///
 ///      A torn last round is cut off on resume and simply re-acquired.
+///   4. run_learning_curve — the same loop over a candidate pool,
+///      scoring every fitted surrogate on a pre-simulated holdout: the
+///      label-efficiency study of the paper's §V (active learning vs
+///      random sampling).
 
 #include <cstddef>
 #include <cstdint>
@@ -93,6 +98,9 @@ enum class Acquisition {
   kMaxVariance,          ///< GP predictive variance / forest spread.
   kExpectedImprovement,  ///< EI over the best observed target.
   kBestPredicted,        ///< Pure exploitation: best predicted value.
+  /// Random sampling: a seeded hash of the space index, i.e. one fixed
+  /// permutation of the space, drawn without replacement.
+  kRandom,
 };
 
 std::string to_string(Acquisition acquisition);
@@ -175,6 +183,31 @@ struct ExplorerResult {
 ExplorerResult run_explorer(const LazySpace& space,
                             std::span<const cpusim::MemoryEvent> trace,
                             const ExplorerOptions& options = {});
+
+// --- learning curves ---------------------------------------------------
+
+/// Holdout accuracy of one fitted surrogate.
+struct LearningCurvePoint {
+  std::size_t labels_used = 0;  ///< Points simulated before the fit.
+  double r2_on_holdout = 0.0;
+  double mse_on_holdout = 0.0;  ///< In the metric's physical units.
+};
+
+struct LearningCurve {
+  std::vector<LearningCurvePoint> curve;       ///< One point per fit.
+  std::vector<std::size_t> acquisition_order;  ///< Pool indices, in order.
+};
+
+/// Runs the loop over `pool` (simulating what it acquires against
+/// `trace`) and scores every fitted surrogate on `holdout`, pre-simulated
+/// rows of the same trace.  options.acquisition is the strategy under
+/// study: kMaxVariance is active learning, kRandom its baseline.  The
+/// run is in memory and stops only at simulation_budget: it forces
+/// exploit_final_round = false, max_rounds = pool.size() and no run_dir.
+LearningCurve run_learning_curve(const LazySpace& pool,
+                                 std::span<const cpusim::MemoryEvent> trace,
+                                 std::span<const SweepRow> holdout,
+                                 ExplorerOptions options);
 
 // --- agreement vs exhaustive ground truth ------------------------------
 

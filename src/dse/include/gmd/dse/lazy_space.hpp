@@ -3,13 +3,14 @@
 /// \file lazy_space.hpp
 /// Indexed, never-materialized design spaces.  A LazySpace is a
 /// cross-product view over GridAxes (or one of the paper's fixed point
-/// sets) with O(1) index -> DesignPoint decode, so a million-point
-/// space costs a few hundred bytes of prefix tables instead of a
-/// million DesignPoints.  The adaptive explorer streams such spaces
-/// block-at-a-time (decode_block) and the classic enumerators
-/// (enumerate_grid, paper_design_space, reduced_design_space) are thin
-/// materialize() wrappers over the same decode, so eager and lazy
-/// callers can never disagree about point order.
+/// sets, or an explicit point list) with O(1) index -> DesignPoint
+/// decode, so a million-point space costs a few hundred bytes of prefix
+/// tables instead of a million DesignPoints.  The adaptive explorer
+/// streams such spaces block-at-a-time (decode_block) and the classic
+/// enumerators (enumerate_grid, paper_design_space,
+/// reduced_design_space) are thin materialize() wrappers over the same
+/// decode, so eager and lazy callers can never disagree about point
+/// order.
 ///
 /// Point order is load-bearing — journals and sweep CSVs key off the
 /// point list — and each layout reproduces its historical enumerator
@@ -17,6 +18,7 @@
 ///   kGrid:    kind -> cpu -> ctrl -> channels -> trcd   (enumerate_grid)
 ///   kPaper:   cpu -> ctrl -> channels -> [dram, (nvm,hybrid) x trcd]
 ///   kReduced: cpu -> ctrl -> channels -> [dram, nvm, hybrid] @ mid-trcd
+///   kList:    the given points, in the given order         (LazySpace::of)
 
 #include <cstddef>
 #include <cstdint>
@@ -43,6 +45,11 @@ class LazySpace {
 
   /// The 96-point reduced grid, in reduced_design_space() order.
   static LazySpace reduced();
+
+  /// An explicit point list in its given order, e.g. a learning-curve
+  /// pool split off a grid.  Unlike the table layouts it holds every
+  /// point, so it is for spaces small enough to materialize.
+  static LazySpace of(std::vector<DesignPoint> points);
 
   /// Axes of a >= 10^6-point space: fine-grained CPU/controller
   /// frequency grids, 1..16 channels, and a dense NVM tRCD sweep —
@@ -81,7 +88,7 @@ class LazySpace {
                       std::vector<double>& maxs) const;
 
  private:
-  enum class Layout { kGrid, kPaper, kReduced };
+  enum class Layout { kGrid, kPaper, kReduced, kList };
 
   LazySpace() = default;
   void build_grid_tables(const GridAxes& axes);
@@ -118,6 +125,9 @@ class LazySpace {
   std::vector<std::vector<CellEntry>> cell_;
   std::vector<std::size_t> cell_ctrl_offset_;
   std::size_t cell_cpu_block_ = 0;
+
+  // kList: the points themselves.
+  std::vector<DesignPoint> points_;
 };
 
 }  // namespace gmd::dse

@@ -21,6 +21,7 @@
 #include "gmd/dse/recommend.hpp"
 #include "gmd/ml/forest.hpp"
 #include "gmd/ml/gp.hpp"
+#include "gmd/ml/metrics.hpp"
 #include "gmd/ml/scaler.hpp"
 
 namespace gmd::dse {
@@ -136,6 +137,8 @@ std::string to_string(Acquisition acquisition) {
       return "ei";
     case Acquisition::kBestPredicted:
       return "best";
+    case Acquisition::kRandom:
+      return "random";
   }
   return "?";
 }
@@ -144,8 +147,10 @@ Acquisition parse_acquisition(const std::string& name) {
   if (name == "variance") return Acquisition::kMaxVariance;
   if (name == "ei") return Acquisition::kExpectedImprovement;
   if (name == "best") return Acquisition::kBestPredicted;
+  if (name == "random") return Acquisition::kRandom;
   GMD_REQUIRE_AS(ErrorCode::kConfig, false,
-                 "unknown acquisition '" << name << "' (variance|ei|best)");
+                 "unknown acquisition '" << name
+                                         << "' (variance|ei|best|random)");
   return Acquisition::kMaxVariance;  // unreachable
 }
 
@@ -174,6 +179,7 @@ struct Surrogate {
   ml::MinMaxScaler y_scaler;                   ///< Fit on labeled targets.
   Direction direction = Direction::kMinimize;
   double best_scaled_y = 0.0;  ///< Direction-best observed scaled target.
+  std::uint64_t seed = 0;      ///< Run seed: kRandom's permutation.
 
   /// Means (and optionally variances) for a scaled block.  Const and
   /// allocation-local, so safe to call from several workers at once.
@@ -225,6 +231,7 @@ Surrogate train_surrogate(
   s.is_gp = options.model == "gp";
   s.x_scaler = &x_scaler;
   s.direction = metric_direction(options.metric);
+  s.seed = options.seed;
   s.y_scaler.fit(std::span<const double>(y));
   const std::vector<double> ys = s.y_scaler.transform(y);
   const ml::Matrix xs = x_scaler.transform(x);
@@ -264,8 +271,18 @@ double normal_pdf(double z) {
 /// outlive the returned closure.
 BlockScorer make_acquisition_scorer(const Surrogate& s,
                                     Acquisition acquisition) {
-  return [&s, acquisition](const ml::Matrix& x, std::size_t /*first*/,
+  return [&s, acquisition](const ml::Matrix& x, std::size_t first,
                            std::span<double> out) {
+    if (acquisition == Acquisition::kRandom) {
+      // A hash of the space index alone: the same permutation for any
+      // block size or thread count, and the skip list keeps it without
+      // replacement.  The top 53 bits convert to a double exactly.
+      for (std::size_t r = 0; r < x.rows(); ++r) {
+        std::uint64_t state = s.seed ^ ((first + r) * 0x9e3779b97f4a7c15ULL);
+        out[r] = static_cast<double>(splitmix64(state) >> 11);
+      }
+      return;
+    }
     thread_local std::vector<double> mu;
     thread_local std::vector<double> var;
     const ml::Matrix xs = s.x_scaler->transform(x);
@@ -291,6 +308,8 @@ BlockScorer make_acquisition_scorer(const Surrogate& s,
         }
         case Acquisition::kBestPredicted:
           out[r] = s.direction == Direction::kMinimize ? -mu[r] : mu[r];
+          break;
+        case Acquisition::kRandom:  // scored above, without the model
           break;
       }
     }
@@ -349,11 +368,15 @@ std::vector<std::size_t> decode_round(const std::string& record,
   return acquired;
 }
 
-}  // namespace
+/// Observes every surrogate the loop fits, with the number of points
+/// simulated so far.
+using FitHook = std::function<void(const Surrogate&, std::size_t labeled)>;
 
-ExplorerResult run_explorer(const LazySpace& space,
-                            std::span<const cpusim::MemoryEvent> trace,
-                            const ExplorerOptions& options) {
+/// The closed loop behind run_explorer and run_learning_curve.
+ExplorerResult explore(const LazySpace& space,
+                       std::span<const cpusim::MemoryEvent> trace,
+                       const ExplorerOptions& options,
+                       const FitHook& fit_hook) {
   GMD_REQUIRE(options.initial_samples >= 2, "need >= 2 initial samples");
   GMD_REQUIRE(options.batch_size >= 1, "batch size must be >= 1");
   GMD_REQUIRE(options.simulation_budget >= options.initial_samples,
@@ -414,6 +437,13 @@ ExplorerResult run_explorer(const LazySpace& space,
       }
     }
   }
+
+  const auto train = [&]() {
+    Surrogate surrogate =
+        train_surrogate(options, x_scaler, metric_idx, labeled);
+    if (fit_hook) fit_hook(surrogate, labeled.size());
+    return surrogate;
+  };
 
   // --- the loop ----------------------------------------------------------
   ExplorerResult result;
@@ -498,8 +528,7 @@ ExplorerResult run_explorer(const LazySpace& space,
           if (seen.insert(index).second) batch.push_back(index);
         }
       } else {
-        const Surrogate surrogate =
-            train_surrogate(options, x_scaler, metric_idx, labeled);
+        const Surrogate surrogate = train();
         // The closing round (last one the budget or round cap admits)
         // optionally turns greedy: simulate the predicted winners so
         // the final ranking rests on observed values.
@@ -542,8 +571,7 @@ ExplorerResult run_explorer(const LazySpace& space,
   }
 
   // --- final ranking -----------------------------------------------------
-  const Surrogate surrogate =
-      train_surrogate(options, x_scaler, metric_idx, labeled);
+  const Surrogate surrogate = train();
 
   std::vector<std::size_t> skip;
   skip.reserve(labeled.size());
@@ -607,6 +635,55 @@ ExplorerResult run_explorer(const LazySpace& space,
     result.fronts.push_back(std::move(front));
   }
   result.stream = stream_stats;
+  return result;
+}
+
+}  // namespace
+
+ExplorerResult run_explorer(const LazySpace& space,
+                            std::span<const cpusim::MemoryEvent> trace,
+                            const ExplorerOptions& options) {
+  return explore(space, trace, options, {});
+}
+
+LearningCurve run_learning_curve(const LazySpace& pool,
+                                 std::span<const cpusim::MemoryEvent> trace,
+                                 std::span<const SweepRow> holdout,
+                                 ExplorerOptions options) {
+  const std::size_t metric_idx = metric_index(options.metric);
+  const std::size_t width = DesignPoint::feature_names().size();
+  std::vector<const SweepRow*> ok_rows;
+  for (const SweepRow& row : holdout) {
+    if (row.ok()) ok_rows.push_back(&row);
+  }
+  GMD_REQUIRE(!ok_rows.empty(), "learning curve needs a simulated holdout");
+  ml::Matrix holdout_x(ok_rows.size(), width);
+  std::vector<double> holdout_y(ok_rows.size());
+  for (std::size_t r = 0; r < ok_rows.size(); ++r) {
+    ok_rows[r]->point.write_features(holdout_x.row(r));
+    holdout_y[r] = metric_value(*ok_rows[r], metric_idx);
+  }
+
+  options.exploit_final_round = false;
+  options.max_rounds = pool.size();
+  options.run_dir.clear();
+  options.resume = false;
+
+  LearningCurve result;
+  const ExplorerResult run = explore(
+      pool, trace, options, [&](const Surrogate& s, std::size_t labeled) {
+        std::vector<double> predicted;
+        std::vector<double> unused;
+        s.eval(s.x_scaler->transform(holdout_x), predicted, unused, false);
+        for (double& v : predicted) v = s.to_physical(v);
+        result.curve.push_back({labeled, ml::r2_score(holdout_y, predicted),
+                                ml::mse(holdout_y, predicted)});
+      });
+  for (const ExplorerRound& round : run.rounds) {
+    result.acquisition_order.insert(result.acquisition_order.end(),
+                                    round.acquired.begin(),
+                                    round.acquired.end());
+  }
   return result;
 }
 

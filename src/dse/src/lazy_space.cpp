@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "gmd/common/error.hpp"
 #include "gmd/common/hash.hpp"
@@ -90,6 +91,14 @@ LazySpace LazySpace::reduced() {
   return space;
 }
 
+LazySpace LazySpace::of(std::vector<DesignPoint> points) {
+  LazySpace space;
+  space.layout_ = Layout::kList;
+  space.size_ = points.size();
+  space.points_ = std::move(points);
+  return space;
+}
+
 void LazySpace::build_cell_tables(Layout layout) {
   const std::size_t num_ctrls = ctrls_.size();
   cell_.resize(num_ctrls);
@@ -139,6 +148,7 @@ DesignPoint LazySpace::operator[](std::size_t index) const {
   GMD_REQUIRE(index < size_, "design-space index " << index
                                                    << " out of range (size "
                                                    << size_ << ")");
+  if (layout_ == Layout::kList) return points_[index];
   DesignPoint p;
   if (layout_ == Layout::kGrid) {
     const std::size_t num_ctrls = ctrls_.size();

@@ -46,19 +46,6 @@ class RandomForest final : public Regressor {
 
   void fit(const Matrix& x, std::span<const double> y) override;
 
-  /// Fits against a prebuilt workspace for `x` — the retrain path of
-  /// iterative loops (active learning), where the candidate pool's
-  /// presorted feature orders are built once and every round derives
-  /// its labeled subset in O(rows) per feature via for_sample().
-  /// `base` must be TrainingWorkspace::build(pool_x), and `sample`
-  /// selects the labeled pool rows.  The fitted trees are bit-identical
-  /// to fit(pool_x.gather_rows(sample), y); fit() itself is this call
-  /// over the whole matrix.  Incompatible with reference_mode (which
-  /// exists to bypass workspaces).
-  void fit_with_workspace(const TrainingWorkspace& base, const Matrix& pool_x,
-                          std::span<const std::size_t> sample,
-                          std::span<const double> y);
-
   double predict_one(std::span<const double> x) const override;
   /// Batch inference: blocked over rows, trees walked check-free; each
   /// row's value is the same tree-order sum predict_one computes.
@@ -87,13 +74,6 @@ class RandomForest final : public Regressor {
   static RandomForest read(std::istream& is);
 
  private:
-  /// The one fit body: pre-draws every tree's seed and bootstrap over
-  /// `sample`, then grows the trees in parallel.  A null `base` grows
-  /// them with the reference engine.
-  void fit_trees(const TrainingWorkspace* base, const Matrix& pool_x,
-                 std::span<const std::size_t> sample,
-                 std::span<const double> y);
-
   ForestParams params_;
   std::vector<DecisionTree> trees_;
 };

@@ -20,52 +20,23 @@ RandomForest::RandomForest(const ForestParams& params) : params_(params) {
 void RandomForest::fit(const Matrix& x, std::span<const double> y) {
   GMD_REQUIRE(x.rows() == y.size(), "X/y row mismatch");
   GMD_REQUIRE(x.rows() >= 1, "empty training data");
-  std::vector<std::size_t> all(x.rows());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  if (params_.reference_mode) {
-    fit_trees(nullptr, x, all, y);
-    return;
-  }
+  const std::size_t n = x.rows();
+  const std::size_t max_features =
+      params_.max_features > 0 ? params_.max_features : x.cols();
   // One presort of the full training matrix, shared across every tree:
   // bootstrap draws derive their view in O(n) per feature instead of
-  // re-sorting.
-  fit_with_workspace(TrainingWorkspace::build(x), x, all, y);
-}
+  // re-sorting.  reference_mode grows every tree with the reference
+  // engine instead.
+  const bool reference = params_.reference_mode;
+  const TrainingWorkspace base =
+      reference ? TrainingWorkspace{} : TrainingWorkspace::build(x);
 
-void RandomForest::fit_with_workspace(const TrainingWorkspace& base,
-                                      const Matrix& pool_x,
-                                      std::span<const std::size_t> sample,
-                                      std::span<const double> y) {
-  GMD_REQUIRE(!params_.reference_mode,
-              "fit_with_workspace is a workspace-engine path");
-  GMD_REQUIRE(sample.size() == y.size(), "sample/y row mismatch");
-  GMD_REQUIRE(!sample.empty(), "empty training data");
-  GMD_REQUIRE(base.rows() == pool_x.rows() && base.features() == pool_x.cols(),
-              "workspace does not match the pool matrix");
-  for (const std::size_t idx : sample) {
-    GMD_REQUIRE(idx < pool_x.rows(), "sample index out of range");
-  }
-  fit_trees(&base, pool_x, sample, y);
-}
-
-void RandomForest::fit_trees(const TrainingWorkspace* base,
-                             const Matrix& pool_x,
-                             std::span<const std::size_t> sample,
-                             std::span<const double> y) {
-  const std::size_t n = sample.size();
-  const std::size_t p = pool_x.cols();
-  const std::size_t max_features =
-      params_.max_features > 0 ? params_.max_features : p;
-
-  // Pre-draw per-tree seeds and bootstrap samples over the n-row
-  // training set deterministically, so the parallel build order cannot
-  // affect the result.  The draws index `sample` / `y`; composed with
-  // `sample` they index the pool directly.
+  // Pre-draw per-tree seeds and bootstrap samples deterministically, so
+  // the parallel build order cannot affect the result.
   Rng rng(params_.seed);
   struct TreeJob {
     std::uint64_t seed = 0;
-    std::vector<std::size_t> draw;       ///< Indices into `sample` / `y`.
-    std::vector<std::size_t> pool_rows;  ///< sample[draw[i]].
+    std::vector<std::size_t> draw;  ///< Row indices into `x` / `y`.
   };
   std::vector<TreeJob> jobs(params_.num_trees);
   for (auto& job : jobs) {
@@ -76,8 +47,6 @@ void RandomForest::fit_trees(const TrainingWorkspace* base,
     } else {
       std::iota(job.draw.begin(), job.draw.end(), std::size_t{0});
     }
-    job.pool_rows.resize(n);
-    for (std::size_t i = 0; i < n; ++i) job.pool_rows[i] = sample[job.draw[i]];
   }
 
   trees_.assign(params_.num_trees, DecisionTree(TreeParams{}));
@@ -93,15 +62,15 @@ void RandomForest::fit_trees(const TrainingWorkspace* base,
     tree_params.min_samples_leaf = params_.min_samples_leaf;
     tree_params.max_features = max_features;
     tree_params.seed = jobs[t].seed;
-    tree_params.reference_mode = base == nullptr;
+    tree_params.reference_mode = reference;
     DecisionTree tree(tree_params);
-    const Matrix xs = pool_x.gather_rows(jobs[t].pool_rows);
+    const Matrix xs = x.gather_rows(jobs[t].draw);
     std::vector<double> ys(n);
     for (std::size_t i = 0; i < n; ++i) ys[i] = y[jobs[t].draw[i]];
-    if (base == nullptr) {
+    if (reference) {
       tree.fit(xs, ys);
     } else {
-      tree.fit_with_workspace(base->for_sample(jobs[t].pool_rows), xs, ys);
+      tree.fit_with_workspace(base.for_sample(jobs[t].draw), xs, ys);
     }
     trees_[t] = std::move(tree);
   });

@@ -10,12 +10,12 @@
 ///   NVMain requests are implicitly one memory word (64 bytes here), so
 ///   the size field is dropped on conversion, exactly as the paper's
 ///   converter drops it.
-/// * binary — packed little-endian records for fast storage.
+///
+/// Binary storage is the GMDT chunk-indexed store (gmd/tracestore).
 
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,22 +85,5 @@ class NvmainTraceWriter final : public cpusim::TraceSink {
 };
 
 std::vector<MemoryEvent> read_nvmain_trace(std::istream& is);
-
-// --- binary format (legacy) --------------------------------------------
-//
-// The original magic-tagged packed blob ("GMDTRC01": 8-byte magic, u64
-// count, 24-byte fixed records).  Superseded by the GMDT chunk-indexed
-// store (gmd/tracestore) for anything new; kept readable so old traces
-// can still be inspected and migrated (`trace_tools unpack` accepts
-// both).
-
-/// Writes a magic-tagged packed trace (legacy format).
-void write_binary_trace(std::ostream& os, std::span<const MemoryEvent> events);
-
-/// Reads a packed legacy trace.  Throws gmd::Error(kTrace) on a bad
-/// magic and gmd::Error(kIo) on truncation — including a header whose
-/// event count exceeds what the stream can possibly hold, which is
-/// rejected before any allocation.
-std::vector<MemoryEvent> read_binary_trace(std::istream& is);
 
 }  // namespace gmd::trace

@@ -1,6 +1,5 @@
 #include "gmd/trace/formats.hpp"
 
-#include <array>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -133,75 +132,6 @@ std::vector<MemoryEvent> read_nvmain_trace(std::istream& is) {
                 "NVMain trace line " << line_no << " is malformed: '" << line
                                      << "'");
     events.push_back(*event);
-  }
-  return events;
-}
-
-// --- binary format -----------------------------------------------------
-
-namespace {
-
-constexpr std::array<char, 8> kBinaryMagic = {'G', 'M', 'D', 'T',
-                                              'R', 'C', '0', '1'};
-
-struct PackedEvent {
-  std::uint64_t tick;
-  std::uint64_t address;
-  std::uint32_t size;
-  std::uint32_t is_write;
-};
-static_assert(sizeof(PackedEvent) == 24);
-
-}  // namespace
-
-void write_binary_trace(std::ostream& os,
-                        std::span<const MemoryEvent> events) {
-  os.write(kBinaryMagic.data(), kBinaryMagic.size());
-  const std::uint64_t count = events.size();
-  os.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const MemoryEvent& event : events) {
-    const PackedEvent packed{event.tick, event.address, event.size,
-                             event.is_write ? 1u : 0u};
-    os.write(reinterpret_cast<const char*>(&packed), sizeof(packed));
-  }
-  GMD_REQUIRE(os.good(), "binary trace write failed");
-}
-
-std::vector<MemoryEvent> read_binary_trace(std::istream& is) {
-  std::array<char, 8> magic{};
-  is.read(magic.data(), magic.size());
-  GMD_REQUIRE_AS(ErrorCode::kTrace, is.good() && magic == kBinaryMagic,
-                 "not a graphmemdse binary trace (bad magic)");
-  std::uint64_t count = 0;
-  is.read(reinterpret_cast<char*>(&count), sizeof(count));
-  GMD_REQUIRE_AS(ErrorCode::kIo, is.good(),
-                 "binary trace truncated (missing count)");
-  // Validate the claimed count against the bytes actually present
-  // before reserving: a corrupt or truncated header must produce a
-  // typed I/O error, not a bad_alloc from an absurd reserve.
-  const std::istream::pos_type body_start = is.tellg();
-  is.seekg(0, std::ios::end);
-  const std::istream::pos_type stream_end = is.tellg();
-  is.seekg(body_start);
-  if (body_start != std::istream::pos_type(-1) &&
-      stream_end != std::istream::pos_type(-1)) {
-    const auto available =
-        static_cast<std::uint64_t>(stream_end - body_start);
-    GMD_REQUIRE_AS(ErrorCode::kIo, count <= available / sizeof(PackedEvent),
-                   "binary trace header claims "
-                       << count << " events but only " << available
-                       << " payload bytes follow (truncated or corrupt)");
-  }
-  std::vector<MemoryEvent> events;
-  events.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PackedEvent packed{};
-    is.read(reinterpret_cast<char*>(&packed), sizeof(packed));
-    GMD_REQUIRE_AS(ErrorCode::kIo, is.good(),
-                   "binary trace truncated at record " << i << " of "
-                                                       << count);
-    events.push_back(MemoryEvent{packed.tick, packed.address, packed.size,
-                                 packed.is_write != 0});
   }
   return events;
 }

@@ -3,8 +3,7 @@
 /// \file writer.hpp
 /// Streaming GMDT writer.  Implements cpusim::TraceSink so a workload
 /// run on AtomicCpu emits a compressed, chunk-indexed store directly —
-/// memory stays bounded by one chunk regardless of trace length,
-/// unlike write_binary_trace, which needs the whole event vector.
+/// memory stays bounded by one chunk regardless of trace length.
 
 #include <cstdint>
 #include <span>

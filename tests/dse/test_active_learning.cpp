@@ -1,5 +1,3 @@
-#include "gmd/dse/active_learning.hpp"
-
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,12 +5,15 @@
 #include "gmd/common/error.hpp"
 #include "gmd/cpusim/workloads.hpp"
 #include "gmd/dse/config_space.hpp"
+#include "gmd/dse/explorer.hpp"
 #include "gmd/graph/generators.hpp"
-#include "gmd/ml/dataset.hpp"
 
 namespace gmd::dse {
 namespace {
 
+/// The §V label-efficiency study through the explorer loop: a pool of
+/// the reduced grid's points is simulated only as the loop acquires
+/// them, and every fit is scored on the pre-simulated holdout.
 class ActiveLearningTest : public testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -25,34 +26,57 @@ class ActiveLearningTest : public testing::Test {
     cpusim::VectorSink sink;
     cpusim::AtomicCpu cpu(cpusim::CpuModel{}, &sink);
     cpusim::BfsWorkload(g, 0).run(cpu);
-    const auto rows = run_sweep(reduced_design_space(), sink.events());
+    trace_ = new std::vector<cpusim::MemoryEvent>(sink.events());
     // 75/25 pool/holdout split by index stride.
-    pool_ = new std::vector<SweepRow>();
-    holdout_ = new std::vector<SweepRow>();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      (i % 4 == 0 ? holdout_ : pool_)->push_back(rows[i]);
+    const std::vector<DesignPoint> points = reduced_design_space();
+    std::vector<DesignPoint> pool, holdout;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      (i % 4 == 0 ? holdout : pool).push_back(points[i]);
     }
+    pool_ = new LazySpace(LazySpace::of(std::move(pool)));
+    holdout_ = new std::vector<SweepRow>(run_sweep(holdout, *trace_));
   }
   static void TearDownTestSuite() {
+    delete trace_;
     delete pool_;
     delete holdout_;
+    trace_ = nullptr;
     pool_ = nullptr;
     holdout_ = nullptr;
   }
-  static std::vector<SweepRow>* pool_;
+
+  /// Active learning's defaults: 10 random seed labels, a 60-label
+  /// budget, one label per round, max-variance acquisition.
+  static ExplorerOptions curve_options(const std::string& metric) {
+    ExplorerOptions options;
+    options.metric = metric;
+    options.acquisition = Acquisition::kMaxVariance;
+    options.initial_samples = 10;
+    options.simulation_budget = 60;
+    options.batch_size = 1;
+    options.rf_trees = 50;
+    return options;
+  }
+
+  static LearningCurve run(const ExplorerOptions& options) {
+    return run_learning_curve(*pool_, *trace_, *holdout_, options);
+  }
+
+  static std::vector<cpusim::MemoryEvent>* trace_;
+  static LazySpace* pool_;
   static std::vector<SweepRow>* holdout_;
 };
 
-std::vector<SweepRow>* ActiveLearningTest::pool_ = nullptr;
+std::vector<cpusim::MemoryEvent>* ActiveLearningTest::trace_ = nullptr;
+LazySpace* ActiveLearningTest::pool_ = nullptr;
 std::vector<SweepRow>* ActiveLearningTest::holdout_ = nullptr;
 
 TEST_F(ActiveLearningTest, CurveTracksBudget) {
-  ActiveLearningOptions options;
-  options.initial_labels = 8;
-  options.label_budget = 24;
+  ExplorerOptions options = curve_options("power_w");
+  options.initial_samples = 8;
+  options.simulation_budget = 24;
   options.batch_size = 4;
-  const auto result =
-      run_active_learning(*pool_, *holdout_, "power_w", options);
+  const auto result = run(options);
   ASSERT_FALSE(result.curve.empty());
   EXPECT_EQ(result.curve.front().labels_used, 8u);
   EXPECT_EQ(result.curve.back().labels_used, 24u);
@@ -60,10 +84,9 @@ TEST_F(ActiveLearningTest, CurveTracksBudget) {
 }
 
 TEST_F(ActiveLearningTest, AcquisitionOrderHasNoDuplicates) {
-  ActiveLearningOptions options;
-  options.label_budget = 30;
-  const auto result =
-      run_active_learning(*pool_, *holdout_, "latency_cycles", options);
+  ExplorerOptions options = curve_options("latency_cycles");
+  options.simulation_budget = 30;
+  const auto result = run(options);
   std::set<std::size_t> seen(result.acquisition_order.begin(),
                              result.acquisition_order.end());
   EXPECT_EQ(seen.size(), result.acquisition_order.size());
@@ -73,27 +96,25 @@ TEST_F(ActiveLearningTest, AcquisitionOrderHasNoDuplicates) {
 }
 
 TEST_F(ActiveLearningTest, AccuracyImprovesWithLabels) {
-  ActiveLearningOptions options;
-  options.initial_labels = 6;
-  options.label_budget = 48;
+  ExplorerOptions options = curve_options("power_w");
+  options.initial_samples = 6;
+  options.simulation_budget = 48;
   options.batch_size = 6;
-  const auto result =
-      run_active_learning(*pool_, *holdout_, "power_w", options);
+  const auto result = run(options);
   EXPECT_GT(result.curve.back().r2_on_holdout,
             result.curve.front().r2_on_holdout);
   EXPECT_GT(result.curve.back().r2_on_holdout, 0.7);
 }
 
 TEST_F(ActiveLearningTest, ActiveBeatsOrMatchesRandomAtBudgetEnd) {
-  ActiveLearningOptions options;
-  options.initial_labels = 6;
-  options.label_budget = 40;
+  ExplorerOptions options = curve_options("total_latency_cycles");
+  options.initial_samples = 6;
+  options.simulation_budget = 40;
   options.batch_size = 2;
   options.seed = 3;
-  const auto active =
-      run_active_learning(*pool_, *holdout_, "total_latency_cycles", options);
-  const auto random =
-      run_random_sampling(*pool_, *holdout_, "total_latency_cycles", options);
+  const auto active = run(options);
+  options.acquisition = Acquisition::kRandom;
+  const auto random = run(options);
   // Active learning should not be much worse than random, and usually
   // better; allow slack for the small pool.
   EXPECT_GT(active.curve.back().r2_on_holdout,
@@ -101,43 +122,40 @@ TEST_F(ActiveLearningTest, ActiveBeatsOrMatchesRandomAtBudgetEnd) {
 }
 
 TEST_F(ActiveLearningTest, RandomBaselineDeterministicPerSeed) {
-  ActiveLearningOptions options;
-  options.label_budget = 20;
-  const auto a = run_random_sampling(*pool_, *holdout_, "power_w", options);
-  const auto b = run_random_sampling(*pool_, *holdout_, "power_w", options);
+  ExplorerOptions options = curve_options("power_w");
+  options.simulation_budget = 20;
+  options.acquisition = Acquisition::kRandom;
+  const auto a = run(options);
+  const auto b = run(options);
   EXPECT_EQ(a.acquisition_order, b.acquisition_order);
 }
 
 TEST_F(ActiveLearningTest, BudgetClampedToPoolSize) {
-  ActiveLearningOptions options;
-  options.initial_labels = 4;
-  options.label_budget = 100000;
+  ExplorerOptions options = curve_options("power_w");
+  options.initial_samples = 4;
+  options.simulation_budget = 100000;
   options.batch_size = 16;
-  const auto result =
-      run_active_learning(*pool_, *holdout_, "power_w", options);
+  const auto result = run(options);
   EXPECT_LE(result.curve.back().labels_used, pool_->size());
   EXPECT_EQ(result.acquisition_order.size(),
             result.curve.back().labels_used);
 }
 
 TEST_F(ActiveLearningTest, ForestModelLearnsAndIsThreadInvariant) {
-  ActiveLearningOptions options;
+  ExplorerOptions options = curve_options("power_w");
   options.model = "rf";
-  options.initial_labels = 10;
-  options.label_budget = 30;
+  options.initial_samples = 10;
+  options.simulation_budget = 30;
   options.batch_size = 4;
-  const auto serial =
-      run_active_learning(*pool_, *holdout_, "power_w", options);
+  const auto serial = run(options);
   ASSERT_FALSE(serial.curve.empty());
   EXPECT_EQ(serial.curve.back().labels_used, 30u);
   EXPECT_GT(serial.curve.back().r2_on_holdout, 0.3);
 
-  // The pool workspace is presorted once and every round's retrain is
-  // derived from it; training is bit-identical at any thread count, so
-  // the acquisition trajectory must be too.
+  // Forest training and the streamed acquisition are bit-identical at
+  // any thread count, so the acquisition trajectory must be too.
   options.num_threads = 3;
-  const auto threaded =
-      run_active_learning(*pool_, *holdout_, "power_w", options);
+  const auto threaded = run(options);
   EXPECT_EQ(threaded.acquisition_order, serial.acquisition_order);
   for (std::size_t i = 0; i < serial.curve.size(); ++i) {
     EXPECT_EQ(threaded.curve[i].r2_on_holdout, serial.curve[i].r2_on_holdout);
@@ -145,20 +163,19 @@ TEST_F(ActiveLearningTest, ForestModelLearnsAndIsThreadInvariant) {
 }
 
 TEST_F(ActiveLearningTest, BadOptionsThrow) {
-  ActiveLearningOptions options;
-  options.initial_labels = 1;
-  EXPECT_THROW(run_active_learning(*pool_, *holdout_, "power_w", options),
+  ExplorerOptions options = curve_options("power_w");
+  options.initial_samples = 1;
+  EXPECT_THROW(run(options), Error);
+  options = curve_options("power_w");
+  options.simulation_budget = 2;
+  options.initial_samples = 10;
+  EXPECT_THROW(run(options), Error);
+  EXPECT_THROW(run_learning_curve(LazySpace::of({}), *trace_, *holdout_,
+                                  curve_options("power_w")),
                Error);
-  options = ActiveLearningOptions{};
-  options.label_budget = 2;
-  options.initial_labels = 10;
-  EXPECT_THROW(run_active_learning(*pool_, *holdout_, "power_w", options),
-               Error);
-  EXPECT_THROW(run_active_learning({}, *holdout_, "power_w", {}), Error);
-  options = ActiveLearningOptions{};
+  options = curve_options("power_w");
   options.model = "svm";
-  EXPECT_THROW(run_active_learning(*pool_, *holdout_, "power_w", options),
-               Error);
+  EXPECT_THROW(run(options), Error);
 }
 
 }  // namespace

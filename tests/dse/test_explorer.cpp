@@ -194,24 +194,29 @@ TEST_F(ExplorerTest, RespectsBudgetAndRoundStructure) {
 
 TEST_F(ExplorerTest, DeterministicAcrossThreadsAndBlocks) {
   const LazySpace space = LazySpace::reduced();
-  ExplorerOptions base = small_options();
-  const ExplorerResult reference = run_explorer(space, *trace_, base);
+  for (const Acquisition acquisition :
+       {Acquisition::kExpectedImprovement, Acquisition::kRandom}) {
+    SCOPED_TRACE(to_string(acquisition));
+    ExplorerOptions base = small_options();
+    base.acquisition = acquisition;
+    const ExplorerResult reference = run_explorer(space, *trace_, base);
 
-  ExplorerOptions threaded = base;
-  threaded.num_threads = 4;
-  threaded.block_size = 8;
-  expect_same_result(run_explorer(space, *trace_, threaded), reference);
+    ExplorerOptions threaded = base;
+    threaded.num_threads = 4;
+    threaded.block_size = 8;
+    expect_same_result(run_explorer(space, *trace_, threaded), reference);
 
-  ExplorerOptions tiny_blocks = base;
-  tiny_blocks.block_size = 1;
-  expect_same_result(run_explorer(space, *trace_, tiny_blocks), reference);
+    ExplorerOptions tiny_blocks = base;
+    tiny_blocks.block_size = 1;
+    expect_same_result(run_explorer(space, *trace_, tiny_blocks), reference);
+  }
 }
 
 TEST_F(ExplorerTest, AcquisitionModesAndModelsRun) {
   const LazySpace space = LazySpace::reduced();
   for (const Acquisition acquisition :
        {Acquisition::kMaxVariance, Acquisition::kExpectedImprovement,
-        Acquisition::kBestPredicted}) {
+        Acquisition::kBestPredicted, Acquisition::kRandom}) {
     for (const char* model : {"gp", "rf"}) {
       ExplorerOptions options = small_options();
       options.acquisition = acquisition;
@@ -448,6 +453,8 @@ TEST(ExplorerOptionsValidation, RejectsBadInputs) {
   EXPECT_THROW(parse_acquisition("nope"), Error);
   EXPECT_EQ(parse_acquisition("ei"), Acquisition::kExpectedImprovement);
   EXPECT_EQ(to_string(Acquisition::kMaxVariance), "variance");
+  EXPECT_EQ(parse_acquisition("random"), Acquisition::kRandom);
+  EXPECT_EQ(to_string(Acquisition::kRandom), "random");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <vector>
 
@@ -165,9 +166,17 @@ TEST(LazySpace, DecodeFeaturesMatchesFeatureVector) {
   }
 }
 
+/// An explicit list in a non-grid order, for the kList layout.
+std::vector<DesignPoint> reversed_paper_points() {
+  std::vector<DesignPoint> points = paper_design_space();
+  std::reverse(points.begin(), points.end());
+  return points;
+}
+
 TEST(LazySpace, ChecksumMatchesPointsChecksum) {
   for (const LazySpace& space :
-       {LazySpace::paper(), LazySpace::reduced(), LazySpace(small_axes())}) {
+       {LazySpace::paper(), LazySpace::reduced(), LazySpace(small_axes()),
+        LazySpace::of(reversed_paper_points())}) {
     EXPECT_EQ(space.checksum(), points_checksum(space.materialize()));
   }
 }

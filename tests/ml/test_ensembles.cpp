@@ -6,7 +6,6 @@
 #include "gmd/common/error.hpp"
 #include "gmd/common/rng.hpp"
 #include "gmd/ml/forest.hpp"
-#include "gmd/ml/workspace.hpp"
 #include "gmd/ml/gbt.hpp"
 #include "gmd/ml/metrics.hpp"
 #include "gmd/ml/tree.hpp"
@@ -174,47 +173,6 @@ TEST(GradientBoosting, RejectsBadHyperparameters) {
   bad = GbtParams{};
   bad.num_stages = 0;
   EXPECT_THROW(GradientBoosting{bad}, Error);
-}
-
-TEST(ForestEquivalence, FitWithWorkspaceMatchesGatheredFit) {
-  Matrix pool_x;
-  std::vector<double> pool_y;
-  sample_friedman_like(200, 11, &pool_x, &pool_y);
-  const TrainingWorkspace base = TrainingWorkspace::build(pool_x);
-
-  // An arbitrary labeled subset, deliberately unsorted.
-  const std::vector<std::size_t> sample = {7,  150, 3,  42, 99, 11, 180,
-                                           63, 5,   27, 81, 122};
-  std::vector<double> y;
-  for (const std::size_t i : sample) y.push_back(pool_y[i]);
-
-  ForestParams params;
-  params.num_trees = 24;
-  params.seed = 3;
-  RandomForest via_workspace(params);
-  via_workspace.fit_with_workspace(base, pool_x, sample, y);
-  RandomForest via_gather(params);
-  via_gather.fit(pool_x.gather_rows(sample), y);
-
-  Matrix xt;
-  std::vector<double> yt;
-  sample_friedman_like(64, 12, &xt, &yt);
-  EXPECT_EQ(via_workspace.predict(xt), via_gather.predict(xt));
-}
-
-TEST(ForestEquivalence, FitWithWorkspaceMisuseErrors) {
-  Matrix pool_x;
-  std::vector<double> pool_y;
-  sample_friedman_like(40, 13, &pool_x, &pool_y);
-  const TrainingWorkspace base = TrainingWorkspace::build(pool_x);
-  RandomForest model{ForestParams{}};
-  const std::vector<std::size_t> sample = {1, 2, 3};
-  const std::vector<double> y = {0.0, 1.0};  // size mismatch
-  EXPECT_THROW(model.fit_with_workspace(base, pool_x, sample, y), Error);
-  const std::vector<std::size_t> out_of_range = {1, 2, 40};
-  const std::vector<double> y3 = {0.0, 1.0, 2.0};
-  EXPECT_THROW(model.fit_with_workspace(base, pool_x, out_of_range, y3),
-               Error);
 }
 
 TEST(ForestEquivalence, SpreadMeansBitIdenticalToPredict) {

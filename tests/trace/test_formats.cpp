@@ -107,67 +107,6 @@ TEST(NvmainFormat, WriterReaderRoundTrip) {
   EXPECT_TRUE(events[1].is_write);
 }
 
-TEST(BinaryFormat, RoundTripsEvents) {
-  std::vector<MemoryEvent> events;
-  for (int i = 0; i < 100; ++i) {
-    events.push_back({static_cast<std::uint64_t>(i * 10),
-                      0x1000u + static_cast<std::uint64_t>(i) * 64,
-                      static_cast<std::uint32_t>(4 << (i % 3)), i % 2 == 0});
-  }
-  std::stringstream ss;
-  write_binary_trace(ss, events);
-  const auto back = read_binary_trace(ss);
-  EXPECT_EQ(back, events);
-}
-
-TEST(BinaryFormat, EmptyTraceRoundTrips) {
-  std::stringstream ss;
-  write_binary_trace(ss, {});
-  EXPECT_TRUE(read_binary_trace(ss).empty());
-}
-
-TEST(BinaryFormat, BadMagicRejected) {
-  std::stringstream ss("NOTATRACE_______");
-  EXPECT_THROW(read_binary_trace(ss), Error);
-}
-
-TEST(BinaryFormat, TruncationDetected) {
-  std::vector<MemoryEvent> events{{1, 2, 4, false}, {2, 3, 4, true}};
-  std::stringstream ss;
-  write_binary_trace(ss, events);
-  const std::string full = ss.str();
-  std::stringstream truncated(full.substr(0, full.size() - 5));
-  EXPECT_THROW(read_binary_trace(truncated), Error);
-}
-
-TEST(BinaryFormat, AbsurdHeaderCountIsTypedIoErrorNotBadAlloc) {
-  // Magic + a count claiming ~10^18 events with no payload behind it:
-  // must fail with Error(kIo) before trying to reserve that much.
-  std::stringstream ss;
-  ss.write("GMDTRC01", 8);
-  const std::uint64_t absurd = 1ull << 60;
-  ss.write(reinterpret_cast<const char*>(&absurd), sizeof(absurd));
-  try {
-    read_binary_trace(ss);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kIo);
-    EXPECT_NE(std::string(e.what()).find("payload bytes follow"),
-              std::string::npos)
-        << e.what();
-  }
-}
-
-TEST(BinaryFormat, BadMagicIsTraceError) {
-  std::stringstream ss("NOTATRACE_______");
-  try {
-    read_binary_trace(ss);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kTrace);
-  }
-}
-
 TEST(NvmainSemantics, ToNvmainEventMatchesTextRoundTrip) {
   const MemoryEvent event{77, 0x1234567, 8, true};
   const MemoryEvent direct = to_nvmain_event(event);

@@ -125,6 +125,28 @@ wait
 echo "supervised run with killed-and-resumed workers matches bit for bit"
 
 echo
+echo "== bounded-memory sweep =="
+# The sweep keeps a trace group's predecoded stream only while that
+# group's members replay, so peak memory grows with the thread count,
+# not with the 64 groups of the paper grid.  Keeping every stream for
+# the whole sweep peaks near 290 MB here; the bound fails that.  Each
+# pool thread adds about 4 MB, so the bound holds up to about 16
+# hardware threads (4 threads peak near 37 MB).
+python3 - "$BUILD_DIR/examples/memory_explorer" --vertices 1024 \
+  --space paper --csv "$SMOKE_DIR/bounded-sweep.csv" <<'PY'
+import resource
+import subprocess
+import sys
+
+LIMIT_MB = 100
+subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"1024-vertex paper-grid sweep peaked at {peak_mb:.0f} MB "
+      f"(bound {LIMIT_MB} MB)")
+sys.exit(1 if peak_mb > LIMIT_MB else 0)
+PY
+
+echo
 echo "== sampled-CI smoke =="
 "$BUILD_DIR/examples/memsim_cli" --emit-config dram > "$SMOKE_DIR/dram.cfg"
 # A sampled run must report confidence intervals for every metric.

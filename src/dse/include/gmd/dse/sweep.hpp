@@ -3,11 +3,13 @@
 /// \file sweep.hpp
 /// Runs the memory simulator over a set of design points — the
 /// labeled-data-generation stage of the workflow (NVMain's role in
-/// Figure 1).  Points are simulated in parallel on a thread pool with
-/// dynamic load balancing (expensive points first, workers claim points
-/// from a shared counter), and points that share a decode geometry
-/// share one predecoded trace instead of re-splitting and re-decoding
-/// the event stream per config.
+/// Figure 1).  Points that share a decode geometry form a trace group
+/// and replay one predecoded stream instead of re-splitting and
+/// re-decoding the event stream per config.  Each group is one task on
+/// a thread pool: the task builds its group's stream, replays the
+/// members in point order and drops the stream, so at most num_threads
+/// streams are live at once.  Workers claim tasks from a shared counter,
+/// most expensive first (dynamic load balancing).
 ///
 /// Execution is fault-tolerant: each point carries a typed outcome, a
 /// FailurePolicy selects fail-fast / skip-and-report / retry-with-
@@ -167,10 +169,12 @@ std::vector<SweepRow> run_sweep(std::span<const DesignPoint> points,
                                 const SweepOptions& options = {});
 
 /// Store-fed sweep: replays a GMDT trace store without first
-/// materializing the whole event vector — single-technology groups
-/// predecode chunk-by-chunk straight off the shared mapping, and the
-/// raw event vector is decoded (in parallel, once) only when a hybrid
-/// group needs it.
+/// materializing the whole event vector — each single-technology group
+/// task predecodes chunk-by-chunk straight off the shared mapping, and
+/// the raw event vector is decoded (in parallel, once) only when a
+/// hybrid group needs it.  Peak memory is then the mapping plus at most
+/// num_threads live group streams (plus the raw vector for hybrids),
+/// however many groups the point list spans.
 /// Metrics are bit-identical to the span overload on the same events.
 std::vector<SweepRow> run_sweep(std::span<const DesignPoint> points,
                                 const tracestore::TraceStoreReader& store,

@@ -110,23 +110,19 @@ class TraceAccess {
   bool materialized_ = false;
 };
 
-/// Per-point simulation plan: which shared trace group (if any) the
-/// point replays, and the materialized config so it is built once.
-struct PointPlan {
-  std::size_t group = kNoGroup;  ///< Index into the group tables.
-  memsim::MemoryConfig single;   ///< kDram / kNvm points.
-  memsim::HybridConfig hybrid;   ///< kHybrid points.
-
-  static constexpr std::size_t kNoGroup = ~std::size_t{0};
-};
-
-/// One shared predecode job: every member point replays these streams.
-struct TraceGroup {
-  bool is_hybrid = false;
-  std::size_t rep = 0;  ///< Point index whose config defines the group.
-  memsim::PredecodedTrace trace;       // single-technology groups
-  memsim::PredecodedTrace dram_side;   // hybrid groups
-  memsim::PredecodedTrace nvm_side;
+/// One pool task of a sweep.  A trace group's members (every exhaustive
+/// point sharing one decode geometry, e.g. every NVM tRCD variant of a
+/// sweep cell) replay one predecoded stream, built when the task starts
+/// and dropped when it returns, so at most one stream per pool thread is
+/// ever live.  A sampled single-technology point replays raw chunks and
+/// is a task of its own.
+struct SweepTask {
+  enum class Feed { kChunked, kPredecoded, kHybrid };
+  Feed feed = Feed::kPredecoded;
+  memsim::MemoryConfig single;  ///< Decode geometry of a kPredecoded group.
+  memsim::HybridConfig hybrid;  ///< Decode and routing of a kHybrid group.
+  std::vector<std::size_t> members;  ///< Point indices, in point order.
+  double cost = 0.0;                 ///< Summed point_cost of the members.
 };
 
 /// The trace feed one point simulation consumes.  Exactly one source is
@@ -188,9 +184,10 @@ void simulate_point_into(const DesignPoint& point,
   }
 }
 
-/// Relative simulation cost used to order points most-expensive-first,
-/// so the dynamic scheduler never strands a long point at the tail of
-/// the sweep.  Hybrid points drive two memory systems.
+/// Relative simulation cost of one point; a task's cost sums its
+/// members', and tasks run most-expensive-first so the dynamic scheduler
+/// never strands a long task at the tail of the sweep.  Hybrid points
+/// drive two memory systems.
 double point_cost(const DesignPoint& point) {
   return point.kind == MemoryKind::kHybrid ? 2.0 : 1.0;
 }
@@ -442,40 +439,47 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
   // hybrids DesignPoint builds, routing) depends only on the mapping
   // geometry and clocks, so all members of a group — e.g. every NVM
   // tRCD variant of a sweep cell — replay one shared predecoded request
-  // stream.  Every exhaustive point joins a group.
-  std::vector<PointPlan> plans(points.size());
-  std::vector<TraceGroup> groups;
-  std::unordered_map<std::string, std::size_t> group_of_key;
+  // stream.  Every exhaustive point joins a group; each group is one
+  // pool task.
+  std::vector<SweepTask> tasks;
+  std::unordered_map<std::string, std::size_t> task_of_key;
+  std::size_t unsettled = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (settled[i]) continue;  // nothing left to simulate
+    ++unsettled;
     // Sampled single-technology points replay raw event chunks, not a
     // predecoded whole-trace stream — a shared predecode would be
     // wasted work for them.
-    if (sampling && points[i].kind != MemoryKind::kHybrid) continue;
-    PointPlan& plan = plans[i];
+    if (sampling && points[i].kind != MemoryKind::kHybrid) {
+      SweepTask& task = tasks.emplace_back();
+      task.feed = SweepTask::Feed::kChunked;
+      task.members.push_back(i);
+      task.cost = point_cost(points[i]);
+      continue;
+    }
+    SweepTask candidate;
     std::string key;
-    bool is_hybrid = false;
     if (points[i].kind == MemoryKind::kHybrid) {
-      plan.hybrid = points[i].hybrid_config();
-      key = memsim::hybrid_trace_key(plan.hybrid);
-      is_hybrid = true;
+      candidate.feed = SweepTask::Feed::kHybrid;
+      candidate.hybrid = points[i].hybrid_config();
+      key = memsim::hybrid_trace_key(candidate.hybrid);
     } else {
-      plan.single = points[i].single_config();
-      key = memsim::PredecodedTrace::key(plan.single);
+      candidate.single = points[i].single_config();
+      key = memsim::PredecodedTrace::key(candidate.single);
     }
-    const auto [it, inserted] = group_of_key.emplace(key, groups.size());
-    if (inserted) {
-      groups.push_back(TraceGroup{is_hybrid, i, {}, {}, {}});
-    }
-    plan.group = it->second;
+    const auto [it, inserted] = task_of_key.emplace(key, tasks.size());
+    if (inserted) tasks.push_back(std::move(candidate));
+    SweepTask& task = tasks[it->second];
+    task.members.push_back(i);
+    task.cost += point_cost(points[i]);
   }
 
   // A store feed only pays for the full event vector when a hybrid
   // group needs it (the hybrid splitter takes a span).  Must happen
-  // before the group predecode below — materialize() uses the pool
-  // itself.
-  if (std::any_of(groups.begin(), groups.end(),
-                  [](const TraceGroup& group) { return group.is_hybrid; })) {
+  // before the tasks run — materialize() uses the pool itself.
+  if (std::any_of(tasks.begin(), tasks.end(), [](const SweepTask& task) {
+        return task.feed == SweepTask::Feed::kHybrid;
+      })) {
     access.materialize(pool);
   }
 
@@ -493,48 +497,18 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     }
   }
 
-  if (!groups.empty()) {
-    // Predecode each group once, in parallel.
-    pool.parallel_for(0, groups.size(), [&](std::size_t g) {
-      TraceGroup& group = groups[g];
-      if (group.is_hybrid) {
-        auto sides =
-            memsim::predecode_hybrid(plans[group.rep].hybrid, access.raw());
-        group.dram_side = std::move(sides.first);
-        group.nvm_side = std::move(sides.second);
-      } else {
-        group.trace = access.predecode(plans[group.rep].single);
-      }
-    });
-  }
-
   // One simulation attempt; `deadline` (nullable) rides in on a config
   // copy and is polled by the channel service loops.  The body itself
   // is simulate_point_into — the same code path the public
   // simulate_point overloads (and through them the query service) run.
-  const auto run_point = [&](std::size_t i, Deadline* deadline,
-                             SweepRow& row) {
+  const auto run_point = [&](std::size_t i, const PointFeed& feed,
+                             Deadline* deadline, SweepRow& row) {
     SimulateOptions sopt;
     sopt.sample_fraction = options.sample_fraction;
     sopt.sample_seed = options.sample_seed;
     sopt.sample_warmup_chunks = options.sample_warmup_chunks;
     sopt.sampling_chunk_events = options.sampling_chunk_events;
     sopt.deadline = deadline;
-
-    PointFeed feed;
-    std::unique_ptr<memsim::ChunkedTrace> chunked;
-    if (sampling && points[i].kind != MemoryKind::kHybrid) {
-      chunked = access.chunked(options.sampling_chunk_events);
-      feed.chunked = chunked.get();
-    } else {
-      const TraceGroup& group = groups[plans[i].group];
-      if (group.is_hybrid) {
-        feed.dram_side = &group.dram_side;
-        feed.nvm_side = &group.nvm_side;
-      } else {
-        feed.predecoded = &group.trace;
-      }
-    }
 
     MetricsRow result;
     simulate_point_into(points[i], sopt, feed, result);
@@ -547,7 +521,7 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
       options.failure_policy == FailurePolicy::kRetry
           ? std::max<std::uint32_t>(1, options.max_attempts)
           : 1;
-  const auto execute = [&](std::size_t i) {
+  const auto execute = [&](std::size_t i, const PointFeed& feed) {
     SweepRow& row = rows[i];
     row.point = points[i];
     for (std::uint32_t attempt = 1;; ++attempt) {
@@ -570,7 +544,7 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
           throw Error(ErrorCode::kCancelled, "sweep cancelled");
         }
         if (options.fault_hook) options.fault_hook(i, attempt);
-        run_point(i, deadline, row);
+        run_point(i, feed, deadline, row);
         row.outcome = PointOutcome::kOk;
         row.error_code = ErrorCode::kUnspecified;
         row.error.clear();
@@ -607,26 +581,48 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     }
   };
 
-  // Expensive points first: with workers claiming one point at a time,
-  // the costly tail can no longer serialize the sweep.
-  std::vector<std::size_t> order;
-  order.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!settled[i]) order.push_back(i);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return point_cost(points[a]) > point_cost(points[b]);
-                   });
-
+  // One task's run: build its feed, replay its members in point order,
+  // drop the feed.  The stream is built outside execute()'s per-point
+  // try/catch, so a trace that cannot be predecoded fails the whole
+  // sweep under every policy instead of turning into failed rows.
   std::atomic<std::size_t> done{0};
-  pool.parallel_for(0, order.size(), [&](std::size_t k) {
-    execute(order[k]);
-    const std::size_t finished = done.fetch_add(1) + 1;
-    if (options.log_progress && finished % 50 == 0) {
-      GMD_LOG_INFO << "sweep progress: " << finished << "/" << order.size();
+  const auto run_task = [&](const SweepTask& task) {
+    PointFeed feed;
+    memsim::PredecodedTrace trace;
+    std::pair<memsim::PredecodedTrace, memsim::PredecodedTrace> sides;
+    std::unique_ptr<memsim::ChunkedTrace> chunked;
+    switch (task.feed) {
+      case SweepTask::Feed::kChunked:
+        chunked = access.chunked(options.sampling_chunk_events);
+        feed.chunked = chunked.get();
+        break;
+      case SweepTask::Feed::kPredecoded:
+        trace = access.predecode(task.single);
+        feed.predecoded = &trace;
+        break;
+      case SweepTask::Feed::kHybrid:
+        sides = memsim::predecode_hybrid(task.hybrid, access.raw());
+        feed.dram_side = &sides.first;
+        feed.nvm_side = &sides.second;
+        break;
     }
-  });
+    for (const std::size_t i : task.members) {
+      execute(i, feed);
+      const std::size_t finished = done.fetch_add(1) + 1;
+      if (options.log_progress && finished % 50 == 0) {
+        GMD_LOG_INFO << "sweep progress: " << finished << "/" << unsettled;
+      }
+    }
+  };
+
+  // Expensive tasks first: with workers claiming one task at a time, a
+  // costly group can no longer serialize the tail of the sweep.
+  std::stable_sort(tasks.begin(), tasks.end(),
+                   [](const SweepTask& a, const SweepTask& b) {
+                     return a.cost > b.cost;
+                   });
+  pool.parallel_for(0, tasks.size(),
+                    [&](std::size_t k) { run_task(tasks[k]); });
 
   if (options.log_progress && !fail_fast) {
     const SweepHealth health = summarize_health(rows);

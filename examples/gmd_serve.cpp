@@ -72,16 +72,16 @@ int run(int argc, const char* const* argv) {
   if (!cli.parse(argc, argv)) return 0;
 
   service::ServiceOptions options;
-  options.num_threads = static_cast<std::size_t>(cli.get_int("threads"));
-  options.max_queue_depth =
-      static_cast<std::size_t>(cli.get_int("queue-depth"));
-  options.cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache-capacity"));
-  options.cache_shards = static_cast<std::size_t>(cli.get_int("cache-shards"));
+  options.num_threads = cli.get_count("threads");
+  options.max_queue_depth = cli.get_count("queue-depth");
+  options.cache_capacity = cli.get_count("cache-capacity");
+  options.cache_shards = cli.get_count("cache-shards");
   options.default_deadline =
-      std::chrono::milliseconds(cli.get_int("default-deadline-ms"));
+      std::chrono::milliseconds(cli.get_count<std::int64_t>(
+          "default-deadline-ms"));
   options.quarantine_probe_interval =
-      std::chrono::milliseconds(cli.get_int("quarantine-probe-ms"));
+      std::chrono::milliseconds(cli.get_count<std::int64_t>(
+          "quarantine-probe-ms"));
 
   // Chaos: arm injected faults before anything touches a fault point.
   if (const std::string faults = cli.get_string("faults"); !faults.empty()) {

@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
 
     graph::Graph500Params params;
-    params.scale = static_cast<unsigned>(cli.get_int("scale"));
-    params.edge_factor = static_cast<unsigned>(cli.get_int("edge-factor"));
-    params.num_roots = static_cast<unsigned>(cli.get_int("roots"));
-    params.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    params.scale = cli.get_count<unsigned>("scale");
+    params.edge_factor = cli.get_count<unsigned>("edge-factor");
+    params.num_roots = cli.get_count<unsigned>("roots");
+    params.seed = cli.get_count<std::uint64_t>("seed");
     params.validate = !cli.get_flag("no-validate");
 
     const graph::Graph500Result result = graph::run_graph500(params);

@@ -33,10 +33,9 @@ int main(int argc, char** argv) {
 
     pipeline::PipelineOptions options;
     options.out_dir = "quickstart-out";
-    options.graph_vertices =
-        static_cast<std::uint32_t>(cli.get_int("vertices"));
-    options.edge_factor = static_cast<unsigned>(cli.get_int("edge-factor"));
-    options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+    options.graph_vertices = cli.get_count<std::uint32_t>("vertices");
+    options.edge_factor = cli.get_count<unsigned>("edge-factor");
+    options.seed = cli.get_count<std::uint64_t>("seed");
     // A reduced 96-point space keeps the demo quick; leave design_points
     // empty for the full 416-point paper space.
     options.design_points = dse::reduced_design_space();

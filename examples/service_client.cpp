@@ -114,8 +114,7 @@ int run(int argc, const char* const* argv) {
 
   // --- fixtures: trace store + deployed surrogate ----------------------
   const std::string store_path = dir + "/workload.gmdt";
-  const auto events =
-      bfs_trace(static_cast<std::uint32_t>(cli.get_int("vertices")));
+  const auto events = bfs_trace(cli.get_count<std::uint32_t>("vertices"));
   tracestore::TraceStoreWriterOptions wopts;
   wopts.events_per_chunk = 4000;
   tracestore::write_trace_store(store_path, events, wopts);
@@ -152,10 +151,8 @@ int run(int argc, const char* const* argv) {
   }
 
   // --- phase 1: concurrent mixed load ---------------------------------
-  const std::size_t num_threads =
-      static_cast<std::size_t>(cli.get_int("threads"));
-  const std::size_t per_thread =
-      static_cast<std::size_t>(cli.get_int("requests-per-thread"));
+  const std::size_t num_threads = cli.get_count("threads");
+  const std::size_t per_thread = cli.get_count("requests-per-thread");
   std::atomic<std::uint64_t> ok_count{0};
   std::atomic<std::uint64_t> total{0};
   std::mutex latency_mutex;

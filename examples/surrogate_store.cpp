@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
     // Phase 1: simulate and train (the expensive part).
     const auto trace = dse::generate_workload_trace(
-        {.graph_vertices = static_cast<std::uint32_t>(cli.get_int("vertices"))});
+        {.graph_vertices = cli.get_count<std::uint32_t>("vertices")});
     const auto rows = dse::run_sweep(dse::reduced_design_space(), trace);
     dse::sweep_to_table(rows).save((dir / "dataset.csv").string());
 

@@ -27,16 +27,18 @@ cmake -B "$BUILD_DIR/bench_e2e" -S bench_e2e -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR/bench_e2e" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR/bench_e2e" --output-on-failure
 
+GMD="$BUILD_DIR/examples/gmd"
+
 echo
 echo "== GMDT pack -> verify -> unpack smoke =="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-"$BUILD_DIR/examples/trace_tools" --out-dir "$SMOKE_DIR" --vertices 256
-"$BUILD_DIR/examples/trace_tools" pack \
+"$GMD" trace --out-dir "$SMOKE_DIR" --vertices 256
+"$GMD" trace pack \
   --input "$SMOKE_DIR/workload.gem5.txt" --input-format gem5 \
   --output "$SMOKE_DIR/smoke.gmdt"
-"$BUILD_DIR/examples/trace_tools" verify --input "$SMOKE_DIR/smoke.gmdt"
-"$BUILD_DIR/examples/trace_tools" unpack \
+"$GMD" trace verify --input "$SMOKE_DIR/smoke.gmdt"
+"$GMD" trace unpack \
   --input "$SMOKE_DIR/smoke.gmdt" --output "$SMOKE_DIR/smoke.nvmain.txt"
 cmp "$SMOKE_DIR/smoke.nvmain.txt" "$SMOKE_DIR/workload.nvmain.txt"
 echo "GMDT round trip matches the text converter output"
@@ -46,27 +48,27 @@ echo "== pipeline kill-and-resume smoke =="
 PIPE_REF="$SMOKE_DIR/pipeline-ref"
 PIPE_KILLED="$SMOKE_DIR/pipeline-killed"
 # Reference: one uninterrupted run.
-"$BUILD_DIR/examples/pipeline_runner" --vertices 96 --out-dir "$PIPE_REF" \
+"$GMD" pipeline --vertices 96 --out-dir "$PIPE_REF" \
   --summary-only
 # Same configuration, killed twice (SIGKILL stand-in: no destructors, no
 # flushes) and failed once, resumed after each fault.
-if "$BUILD_DIR/examples/pipeline_runner" --vertices 96 \
+if "$GMD" pipeline --vertices 96 \
     --out-dir "$PIPE_KILLED" --kill-after-points 5 --summary-only; then
   echo "expected the mid-sweep kill to terminate the run" >&2; exit 1
 fi
-if "$BUILD_DIR/examples/pipeline_runner" --vertices 96 \
+if "$GMD" pipeline --vertices 96 \
     --out-dir "$PIPE_KILLED" --resume --kill-stage train --summary-only; then
   echo "expected the pre-train kill to terminate the run" >&2; exit 1
 fi
-if "$BUILD_DIR/examples/pipeline_runner" --vertices 96 \
+if "$GMD" pipeline --vertices 96 \
     --out-dir "$PIPE_KILLED" --resume --fail-stage recommend \
     --summary-only; then
   echo "expected the injected recommend failure to fail the run" >&2; exit 1
 fi
-"$BUILD_DIR/examples/pipeline_runner" --vertices 96 --out-dir "$PIPE_KILLED" \
+"$GMD" pipeline --vertices 96 --out-dir "$PIPE_KILLED" \
   --resume --summary-only
 # The markdown study report, retrained from the recovered sweep.csv.
-"$BUILD_DIR/examples/pipeline_runner" --vertices 96 --out-dir "$PIPE_KILLED" \
+"$GMD" pipeline --vertices 96 --out-dir "$PIPE_KILLED" \
   --resume --summary-only --report "$SMOKE_DIR/study.md"
 grep -q '## Surrogate model scores' "$SMOKE_DIR/study.md"
 # The recovered artifacts must be bit-identical to the uninterrupted run,
@@ -88,12 +90,12 @@ echo "killed-and-resumed pipeline matches the uninterrupted run bit for bit"
 echo
 echo "== distributed sweep kill-worker smoke =="
 # Single-process reference CSV over the full 416-point paper grid.
-"$BUILD_DIR/examples/memory_explorer" --vertices 96 --space paper \
+"$GMD" sweep --vertices 96 --space paper \
   --policy retry --csv "$SMOKE_DIR/single-sweep.csv" > /dev/null
 # Lease-sharded run: 4 forked workers, two of which _Exit(137) (the
 # SIGKILL stand-in — no destructors, no flushes) after 10 journaled
 # points; the supervisor reaps and respawns them mid-run.
-"$BUILD_DIR/examples/memory_explorer" --vertices 96 --space paper \
+"$GMD" sweep --vertices 96 --space paper \
   --policy retry --run-dir "$SMOKE_DIR/dist-forked" --distributed 4 \
   --shard-points 8 --lease-ttl-ms 1000 --kill-workers 2 \
   --kill-after-points 10 > /dev/null
@@ -101,15 +103,14 @@ cmp "$SMOKE_DIR/single-sweep.csv" "$SMOKE_DIR/dist-forked/sweep.csv"
 echo "4-worker run with two SIGKILLed workers matches single-process bit for bit"
 # External supervisor + worker processes: two workers die mid-run, a
 # replacement restarted under a dead worker's id adopts its journal.
-timeout 300 "$BUILD_DIR/examples/memory_explorer" --vertices 96 --space paper \
+timeout 300 "$GMD" sweep --vertices 96 --space paper \
   --run-dir "$SMOKE_DIR/dist-ext" --supervise-only --shard-points 8 \
   --lease-ttl-ms 1000 > /dev/null & SUP_PID=$!
-WORKER="$BUILD_DIR/examples/sweep_worker"
-"$WORKER" --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w1 \
+"$GMD" worker --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w1 \
   > /dev/null &
-"$WORKER" --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w2 \
+"$GMD" worker --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w2 \
   --exit-after-points 5 > /dev/null & W2_PID=$!
-"$WORKER" --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w3 \
+"$GMD" worker --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w3 \
   --exit-after-points 5 > /dev/null & W3_PID=$!
 if wait "$W2_PID"; then
   echo "expected worker w2 to be killed mid-run" >&2; exit 1
@@ -117,12 +118,24 @@ fi
 if wait "$W3_PID"; then
   echo "expected worker w3 to be killed mid-run" >&2; exit 1
 fi
-"$WORKER" --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w2 \
+"$GMD" worker --run-dir "$SMOKE_DIR/dist-ext" --space paper --worker w2 \
   > /dev/null &
 wait "$SUP_PID"
 cmp "$SMOKE_DIR/single-sweep.csv" "$SMOKE_DIR/dist-ext/sweep.csv"
 wait
 echo "supervised run with killed-and-resumed workers matches bit for bit"
+# A supervisor over a limited prefix of the 10^6-point grid, joined by
+# an external worker: gmd sweep and gmd worker read --space and --limit
+# through one point-list parser, so they agree on the sweep identity.
+MILLION=(--space million --limit 24)
+"$GMD" sweep "${MILLION[@]}" --csv "$SMOKE_DIR/million-single.csv" > /dev/null
+timeout 300 "$GMD" sweep "${MILLION[@]}" --run-dir "$SMOKE_DIR/million-ext" \
+  --supervise-only --shard-points 8 > /dev/null & SUP_PID=$!
+"$GMD" worker --run-dir "$SMOKE_DIR/million-ext" "${MILLION[@]}" \
+  --worker m1 > /dev/null
+wait "$SUP_PID"
+cmp "$SMOKE_DIR/million-single.csv" "$SMOKE_DIR/million-ext/sweep.csv"
+echo "external worker over a limited million-point space matches single-process bit for bit"
 
 echo
 echo "== bounded-memory sweep =="
@@ -132,7 +145,7 @@ echo "== bounded-memory sweep =="
 # the whole sweep peaks near 290 MB here; the bound fails that.  Each
 # pool thread adds about 4 MB, so the bound holds up to about 16
 # hardware threads (4 threads peak near 37 MB).
-python3 - "$BUILD_DIR/examples/memory_explorer" --vertices 1024 \
+python3 - "$GMD" sweep --vertices 1024 \
   --space paper --csv "$SMOKE_DIR/bounded-sweep.csv" <<'PY'
 import resource
 import subprocess
@@ -148,9 +161,9 @@ PY
 
 echo
 echo "== sampled-CI smoke =="
-"$BUILD_DIR/examples/memsim_cli" --emit-config dram > "$SMOKE_DIR/dram.cfg"
+"$GMD" memsim --emit-config dram > "$SMOKE_DIR/dram.cfg"
 # A sampled run must report confidence intervals for every metric.
-"$BUILD_DIR/examples/memsim_cli" --config "$SMOKE_DIR/dram.cfg" \
+"$GMD" memsim --config "$SMOKE_DIR/dram.cfg" \
   --trace "$SMOKE_DIR/smoke.nvmain.txt" --sample-fraction 0.5 \
   --sample-chunk-events 500 > "$SMOKE_DIR/sampled.out"
 grep -q "joint confidence intervals" "$SMOKE_DIR/sampled.out"
@@ -190,16 +203,16 @@ echo "== adaptive explorer kill-and-resume smoke =="
 EXPLORER_ARGS=(--vertices 96 --space reduced --model rf --initial 8 \
   --batch 4 --rounds 3 --budget 20 --top-k 5)
 # Reference: one uninterrupted closed loop.
-"$BUILD_DIR/examples/adaptive_explorer" "${EXPLORER_ARGS[@]}" \
+"$GMD" explore "${EXPLORER_ARGS[@]}" \
   --out-dir "$SMOKE_DIR/explorer-ref" > /dev/null
 # Same loop, SIGKILL stand-in (_Exit, no destructors, no flushes) after
 # one acquisition round, then resumed from the journals.
-if "$BUILD_DIR/examples/adaptive_explorer" "${EXPLORER_ARGS[@]}" \
+if "$GMD" explore "${EXPLORER_ARGS[@]}" \
     --run-dir "$SMOKE_DIR/explorer-kill" --kill-after-round 2 \
     > /dev/null; then
   echo "expected the mid-loop kill to terminate the explorer" >&2; exit 1
 fi
-"$BUILD_DIR/examples/adaptive_explorer" "${EXPLORER_ARGS[@]}" \
+"$GMD" explore "${EXPLORER_ARGS[@]}" \
   --run-dir "$SMOKE_DIR/explorer-kill" --resume \
   --out-dir "$SMOKE_DIR/explorer-resumed" > /dev/null
 for artifact in result.csv front_power_w__total_latency_cycles.csv \

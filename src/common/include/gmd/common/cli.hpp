@@ -1,10 +1,14 @@
 #pragma once
 
 /// \file cli.hpp
-/// Tiny declarative command-line parser used by the examples and bench
-/// binaries.  Supports `--name value`, `--name=value`, and boolean flags.
+/// Tiny declarative command-line parser used by the `gmd` CLI and the
+/// example binaries.  Supports `--name value`, `--name=value`, and
+/// boolean flags.  Every parse or typed-read failure throws
+/// Error(ErrorCode::kConfig).
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,13 +29,22 @@ class CliParser {
   CliParser& add_flag(const std::string& name, const std::string& help);
 
   /// Parses argv.  Returns false (after printing usage) when --help was
-  /// requested.  Throws gmd::Error on unknown options or missing values.
+  /// requested.  Throws Error(kConfig) on unknown options or missing values.
   bool parse(int argc, const char* const* argv);
 
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
+
+  /// A count, size or id: a non-negative integer that fits T.  Throws
+  /// Error(kConfig) on a negative or too-large value, so `-1` can never
+  /// wrap to a huge unsigned count.
+  template <typename T = std::size_t>
+  T get_count(const std::string& name) const {
+    return static_cast<T>(
+        count_at_most(name, std::numeric_limits<T>::max()));
+  }
 
   /// Positional arguments left over after option parsing.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -46,6 +59,8 @@ class CliParser {
   };
 
   const Option& find(const std::string& name) const;
+  std::uint64_t count_at_most(const std::string& name,
+                              std::uint64_t max) const;
 
   std::string program_;
   std::string summary_;

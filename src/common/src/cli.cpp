@@ -44,14 +44,17 @@ bool CliParser::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     const auto it = options_.find(name);
-    GMD_REQUIRE(it != options_.end(), "unknown option --" << name);
+    GMD_REQUIRE_AS(ErrorCode::kConfig, it != options_.end(),
+                   "unknown option --" << name);
     if (it->second.is_flag) {
-      GMD_REQUIRE(!has_value || value == "true" || value == "false",
-                  "flag --" << name << " takes no value");
+      GMD_REQUIRE_AS(ErrorCode::kConfig,
+                     !has_value || value == "true" || value == "false",
+                     "flag --" << name << " takes no value");
       values_[name] = has_value ? value : "true";
     } else {
       if (!has_value) {
-        GMD_REQUIRE(i + 1 < argc, "option --" << name << " needs a value");
+        GMD_REQUIRE_AS(ErrorCode::kConfig, i + 1 < argc,
+                       "option --" << name << " needs a value");
         value = argv[++i];
       }
       values_[name] = value;
@@ -62,7 +65,8 @@ bool CliParser::parse(int argc, const char* const* argv) {
 
 const CliParser::Option& CliParser::find(const std::string& name) const {
   const auto it = options_.find(name);
-  GMD_REQUIRE(it != options_.end(), "option --" << name << " not declared");
+  GMD_REQUIRE_AS(ErrorCode::kConfig, it != options_.end(),
+                 "option --" << name << " not declared");
   return it->second;
 }
 
@@ -75,17 +79,27 @@ std::string CliParser::get_string(const std::string& name) const {
 std::int64_t CliParser::get_int(const std::string& name) const {
   const std::string text = get_string(name);
   const auto value = parse_int(text);
-  GMD_REQUIRE(value.has_value(),
-              "option --" << name << ": '" << text << "' is not an integer");
+  GMD_REQUIRE_AS(ErrorCode::kConfig, value.has_value(),
+                 "option --" << name << ": '" << text << "' is not an integer");
   return *value;
 }
 
 double CliParser::get_double(const std::string& name) const {
   const std::string text = get_string(name);
   const auto value = parse_double(text);
-  GMD_REQUIRE(value.has_value(),
-              "option --" << name << ": '" << text << "' is not a number");
+  GMD_REQUIRE_AS(ErrorCode::kConfig, value.has_value(),
+                 "option --" << name << ": '" << text << "' is not a number");
   return *value;
+}
+
+std::uint64_t CliParser::count_at_most(const std::string& name,
+                                       std::uint64_t max) const {
+  const std::int64_t value = get_int(name);
+  GMD_REQUIRE_AS(ErrorCode::kConfig,
+                 value >= 0 && static_cast<std::uint64_t>(value) <= max,
+                 "option --" << name << ": " << value
+                             << " is not a count in [0, " << max << "]");
+  return static_cast<std::uint64_t>(value);
 }
 
 bool CliParser::get_flag(const std::string& name) const {

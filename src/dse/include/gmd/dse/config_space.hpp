@@ -25,9 +25,10 @@ std::vector<DesignPoint> reduced_design_space();
 
 /// One-axis slice for interactive exploration, `axis` one of
 /// ctrl | cpu | channels | trcd (trcd is NVM/hybrid only; throws
-/// Error(kConfig) otherwise).  memory_explorer and the distributed
-/// sweep_worker build their point lists through this one function, so
-/// a supervisor and its workers always agree on the sweep identity.
+/// Error(kConfig) otherwise).  `gmd sweep` and `gmd worker` build their
+/// point lists, this slice included, through one point-list parser
+/// (examples/gmd/flags.hpp), so a supervisor and its workers always
+/// agree on the sweep identity.
 std::vector<DesignPoint> axis_design_points(const std::string& axis,
                                             MemoryKind kind);
 

@@ -6,7 +6,7 @@
 /// deliverable a DSE study hands to the architecture team) —
 /// Figure-2-style metric table, Table-I-style model scores,
 /// recommendations, sensitivity, and the Pareto front.
-/// `pipeline_runner --report PATH` renders one from a run's sweep.csv.
+/// `gmd pipeline --report PATH` renders one from a run's sweep.csv.
 
 #include <iosfwd>
 #include <span>

@@ -62,7 +62,7 @@ class TraceStoreReader {
   std::size_t first_chunk_at_or_after(std::uint64_t tick) const;
 
   /// Decodes and checksums every chunk, discarding the events — a full
-  /// integrity scan (trace_tools verify).  Throws on the first bad
+  /// integrity scan (gmd trace verify).  Throws on the first bad
   /// chunk.
   void verify() const;
 

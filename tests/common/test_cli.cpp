@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "gmd/common/error.hpp"
 
 namespace gmd {
@@ -51,23 +54,73 @@ TEST(CliParser, PositionalArgumentsCollected) {
   EXPECT_EQ(p.positional()[1], "out.txt");
 }
 
+/// Runs `body` and returns the code of the gmd::Error it must throw.
+template <typename Body>
+ErrorCode thrown_code(Body&& body) {
+  try {
+    body();
+  } catch (const Error& e) {
+    return e.code();
+  }
+  ADD_FAILURE() << "expected gmd::Error";
+  return ErrorCode::kUnspecified;
+}
+
 TEST(CliParser, UnknownOptionThrows) {
-  auto p = make_parser();
-  const char* argv[] = {"demo", "--bogus", "1"};
-  EXPECT_THROW(p.parse(3, argv), Error);
+  const std::vector<std::vector<const char*>> inputs = {
+      {"demo", "--bogus", "1"},
+      {"demo", "--bogus"},
+      {"demo", "--verbose=yes"},
+  };
+  for (const auto& argv : inputs) {
+    auto p = make_parser();
+    EXPECT_EQ(thrown_code([&] {
+                p.parse(static_cast<int>(argv.size()), argv.data());
+              }),
+              ErrorCode::kConfig)
+        << argv[1];
+  }
 }
 
 TEST(CliParser, MissingValueThrows) {
   auto p = make_parser();
   const char* argv[] = {"demo", "--vertices"};
-  EXPECT_THROW(p.parse(2, argv), Error);
+  EXPECT_EQ(thrown_code([&] { p.parse(2, argv); }), ErrorCode::kConfig);
 }
 
 TEST(CliParser, NonNumericValueThrowsOnTypedGet) {
+  // Not an integer: every integer read fails.
+  for (const char* value : {"many", "1.5", ""}) {
+    auto p = make_parser();
+    const char* argv[] = {"demo", "--vertices", value};
+    ASSERT_TRUE(p.parse(3, argv));
+    EXPECT_EQ(thrown_code([&] { (void)p.get_int("vertices"); }),
+              ErrorCode::kConfig)
+        << value;
+    EXPECT_EQ(thrown_code([&] { (void)p.get_count("vertices"); }),
+              ErrorCode::kConfig)
+        << value;
+  }
+  // An integer but not a count of the asked width: only get_count fails.
+  for (const char* value : {"-1", "4294967296"}) {
+    auto p = make_parser();
+    const char* argv[] = {"demo", "--vertices", value};
+    ASSERT_TRUE(p.parse(3, argv));
+    EXPECT_EQ(std::to_string(p.get_int("vertices")), value);
+    EXPECT_EQ(thrown_code([&] {
+                (void)p.get_count<std::uint32_t>("vertices");
+              }),
+              ErrorCode::kConfig)
+        << value;
+  }
   auto p = make_parser();
-  const char* argv[] = {"demo", "--vertices", "many"};
+  const char* argv[] = {"demo", "--vertices", "-1"};
   ASSERT_TRUE(p.parse(3, argv));
-  EXPECT_THROW((void)p.get_int("vertices"), Error);
+  EXPECT_EQ(thrown_code([&] { (void)p.get_count("vertices"); }),
+            ErrorCode::kConfig);
+  const char* max_argv[] = {"demo", "--vertices", "4294967295"};
+  ASSERT_TRUE(p.parse(3, max_argv));
+  EXPECT_EQ(p.get_count<std::uint32_t>("vertices"), 4294967295u);
 }
 
 TEST(CliParser, HelpReturnsFalse) {

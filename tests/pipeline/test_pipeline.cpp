@@ -241,7 +241,7 @@ TEST_F(PipelineTest, SweepAbortMidwayThenResumeIsBitIdentical) {
 }
 
 TEST_F(PipelineTest, RetrainingOnSweepCsvReproducesTable1) {
-  // The premise of `pipeline_runner --report`: the train stage's options
+  // The premise of `gmd pipeline --report`: the train stage's options
   // over the published sweep.csv rebuild Table I byte for byte.
   PipelineOptions options = small_options("retrain_csv");
   options.surrogate.models = dse::SurrogateOptions{}.models;

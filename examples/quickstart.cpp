@@ -9,7 +9,7 @@
 ///   5. print co-design recommendations.
 ///
 /// The paper's full 416-point study is the same pipeline at scale:
-/// `pipeline_runner --space paper --vertices 1024 --edge-factor 16`.
+/// `gmd pipeline --space paper --vertices 1024 --edge-factor 16`.
 ///
 /// Usage: quickstart [--vertices N] [--edge-factor K] [--seed S]
 

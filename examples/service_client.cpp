@@ -19,6 +19,8 @@
 /// Usage: service_client --server PATH [--vertices N] [--threads N]
 ///          [--requests-per-thread N] [--bench-json PATH]
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -99,15 +101,20 @@ int run(int argc, const char* const* argv) {
   cli.add_option("vertices", "128", "BFS workload graph size");
   cli.add_option("threads", "8", "concurrent client threads");
   cli.add_option("requests-per-thread", "8", "requests per client thread");
-  cli.add_option("out-dir", "", "working directory (default: temp)");
+  cli.add_option("out-dir", "",
+                 "working directory (default: a per-run temp dir)");
   cli.add_option("bench-json", "", "write latency/hit-rate JSON here");
   if (!cli.parse(argc, argv)) return 0;
 
   const std::string server = cli.get_string("server");
   expect(!server.empty(), "--server is required");
   std::string dir = cli.get_string("out-dir");
-  if (dir.empty()) {
-    dir = (std::filesystem::temp_directory_path() / "gmd_service_client")
+  // Without --out-dir each run gets its own scratch directory, removed
+  // once every phase has passed, so concurrent runs never share files.
+  const bool scratch = dir.empty();
+  if (scratch) {
+    dir = (std::filesystem::temp_directory_path() /
+           ("gmd_service_client_" + std::to_string(::getpid())))
               .string();
   }
   std::filesystem::create_directories(dir);
@@ -410,6 +417,7 @@ int run(int argc, const char* const* argv) {
   }
 
   std::cout << "service_client: all phases passed\n";
+  if (scratch) std::filesystem::remove_all(dir);
   return 0;
 }
 

@@ -4,7 +4,7 @@
 /// them, and answers configuration queries without any simulation —
 /// the deployment workflow the serialization layer exists for.
 ///
-/// Usage: surrogate_store [--dir /tmp/gmd_models] [--vertices 512]
+/// Usage: surrogate_store [--dir gmd-models] [--vertices 512]
 
 #include <filesystem>
 #include <fstream>
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   using namespace gmd;
 
   CliParser cli("surrogate_store", "persist and reload trained surrogates");
-  cli.add_option("dir", "/tmp/gmd_models", "model store directory")
+  cli.add_option("dir", "gmd-models", "model store directory")
       .add_option("vertices", "512", "graph size");
   try {
     if (!cli.parse(argc, argv)) return 0;

@@ -390,8 +390,9 @@ std::unique_ptr<Workload> make_workload(const std::string& name,
   if (key == "sssp") return std::make_unique<SsspWorkload>(graph, source);
   if (key == "triangles")
     return std::make_unique<TriangleCountWorkload>(graph);
-  throw Error("unknown workload '" + name +
-              "' (expected bfs|dobfs|pagerank|cc|sssp|triangles)");
+  throw Error(ErrorCode::kConfig,
+              "unknown workload '" + name +
+                  "' (expected bfs|dobfs|pagerank|cc|sssp|triangles)");
 }
 
 }  // namespace gmd::cpusim

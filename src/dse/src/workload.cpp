@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "gmd/common/error.hpp"
 #include "gmd/common/rng.hpp"
 #include "gmd/cpusim/workloads.hpp"
 #include "gmd/graph/generators.hpp"
@@ -11,6 +12,10 @@ namespace gmd::dse {
 std::vector<cpusim::MemoryEvent> generate_workload_trace(
     const WorkloadSpec& spec, graph::CsrGraph* graph_out,
     std::uint64_t* checksum_out, Deadline* deadline) {
+  // Edge factor 0 would "succeed" on an edgeless graph whose trace is a
+  // few source-vertex reads: a misconfiguration, not a workload.
+  GMD_REQUIRE_AS(ErrorCode::kConfig, spec.edge_factor >= 1,
+                 "workload edge factor must be >= 1");
   // GTGraph "random" model graph, symmetrized for Graph500 semantics.
   graph::UniformRandomParams params;
   params.num_vertices = spec.graph_vertices;

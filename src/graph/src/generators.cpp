@@ -11,7 +11,8 @@
 namespace gmd::graph {
 
 EdgeList generate_uniform_random(const UniformRandomParams& params) {
-  GMD_REQUIRE(params.num_vertices >= 2, "uniform-random graph needs >= 2 vertices");
+  GMD_REQUIRE_AS(ErrorCode::kConfig, params.num_vertices >= 2,
+                 "uniform-random graph needs >= 2 vertices");
   GMD_REQUIRE(params.max_weight >= 1.0, "max_weight must be >= 1");
   Rng rng(params.seed);
   EdgeList list;

@@ -3,77 +3,33 @@
 /// \file model_registry.hpp
 /// Deployed-surrogate registry for the query service: loads each .gmdm
 /// artifact (model + scalers) once and serves it to every concurrent
-/// predict request.  Batch inference through a registered model is
+/// predict request, under the quarantine protocol of Registry (a probe
+/// reloads the artifact).  Batch inference through a registered model is
 /// lock-free: Regressor::predict(const Matrix&) builds its inference
 /// plans as stack locals, so concurrent const predicts share the model
 /// without synchronization — the registry locks only the name lookup.
 
-#include <chrono>
-#include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "gmd/dse/surrogate.hpp"
-#include "gmd/service/quarantine.hpp"
+#include "gmd/service/registry.hpp"
 
 namespace gmd::service {
 
-class ModelRegistry {
+class ModelRegistry : public Registry<dse::SurrogateSuite::DeployedModel> {
  public:
+  ModelRegistry();
+
   /// Loads a .gmdm artifact and registers it under `name`.  Replaces an
   /// existing registration of the same name (in-flight requests keep
   /// their shared handle).  Returns the model family name.
   std::string register_model(const std::string& name, const std::string& path);
 
   /// Registers an already-deployed model (e.g. trained in-process).
+  /// Having no artifact to reload, it recovers from quarantine only by
+  /// re-registration.
   void register_model(const std::string& name,
                       dse::SurrogateSuite::DeployedModel model);
-
-  /// Throws Error(kNotFound) naming the key and registered models, or
-  /// Error(kUnavailable) when the model is quarantined.  A quarantined
-  /// model registered from disk is re-probed (reloaded) once per probe
-  /// interval; one registered in-process can only be recovered by
-  /// explicit re-registration.
-  std::shared_ptr<const dse::SurrogateSuite::DeployedModel> find(
-      const std::string& name);
-
-  /// Evicts the named model from serving into the quarantined set; see
-  /// TraceLibrary::quarantine for semantics.  Returns true if evicted.
-  bool quarantine(const std::string& name, ErrorCode code,
-                  const std::string& reason);
-
-  /// Minimum delay between re-probe attempts (zero: probe every lookup).
-  void set_probe_interval(std::chrono::milliseconds interval);
-
-  /// Re-probes every quarantined model whose interval elapsed.  Returns
-  /// the number restored to serving.
-  std::size_t probe_due();
-
-  std::vector<QuarantinedResource> quarantined() const;
-  std::size_t quarantined_count() const;
-
-  std::vector<std::string> names() const;
-  std::size_t size() const;
-
- private:
-  struct Quarantine {
-    QuarantinedResource info;
-    std::chrono::steady_clock::time_point next_probe;
-  };
-
-  /// Reloads the quarantined model behind `name` if its interval has
-  /// elapsed.  Returns true when it was restored to serving.
-  bool try_probe(const std::string& name);
-
-  mutable std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<const dse::SurrogateSuite::DeployedModel>>
-      models_;
-  std::map<std::string, std::string> paths_;  ///< Disk-backed models only.
-  std::map<std::string, Quarantine> quarantined_;
-  std::chrono::milliseconds probe_interval_{5000};
 };
 
 }  // namespace gmd::service

@@ -55,8 +55,7 @@ struct ServiceOptions {
   /// Applied when a request carries no "deadline_ms"; zero = unlimited.
   std::chrono::milliseconds default_deadline{0};
   /// Minimum delay between re-probe attempts of one quarantined
-  /// resource (see TraceLibrary/ModelRegistry).  Zero probes on every
-  /// lookup — tests only.
+  /// resource (see Registry).  Zero probes on every lookup — tests only.
   std::chrono::milliseconds quarantine_probe_interval{5000};
 };
 

@@ -1,22 +1,31 @@
 #include "gmd/service/model_registry.hpp"
 
+#include <memory>
+#include <utility>
+
 #include "gmd/common/error.hpp"
 
 namespace gmd::service {
+
+namespace {
+
+ModelRegistry::Handle load(const std::string& path) {
+  return std::make_shared<const dse::SurrogateSuite::DeployedModel>(
+      dse::SurrogateSuite::DeployedModel::load_file(path));
+}
+
+}  // namespace
+
+ModelRegistry::ModelRegistry() : Registry("model", load) {}
 
 std::string ModelRegistry::register_model(const std::string& name,
                                           const std::string& path) {
   GMD_REQUIRE_AS(ErrorCode::kConfig, !name.empty(),
                  "model name must be non-empty");
   // Load outside the lock; a slow disk never blocks lookups.
-  auto model = std::make_shared<dse::SurrogateSuite::DeployedModel>(
-      dse::SurrogateSuite::DeployedModel::load_file(path));
+  Handle model = load(path);
   const std::string family = model->model->name();
-  std::lock_guard<std::mutex> lock(mutex_);
-  // Explicit re-registration is manual recovery: it clears quarantine.
-  quarantined_.erase(name);
-  models_[name] = std::move(model);
-  paths_[name] = path;
+  put(name, path, std::move(model));
   return family;
 }
 
@@ -27,161 +36,8 @@ void ModelRegistry::register_model(const std::string& name,
   GMD_REQUIRE_AS(ErrorCode::kConfig,
                  model.model != nullptr && model.model->is_fitted(),
                  "cannot register an unfitted model as '" << name << "'");
-  auto shared = std::make_shared<const dse::SurrogateSuite::DeployedModel>(
-      std::move(model));
-  std::lock_guard<std::mutex> lock(mutex_);
-  quarantined_.erase(name);
-  models_[name] = std::move(shared);
-  paths_.erase(name);  // in-process: no artifact to re-probe from
-}
-
-std::shared_ptr<const dse::SurrogateSuite::DeployedModel> ModelRegistry::find(
-    const std::string& name) {
-  // At most one inline recovery attempt, exactly like TraceLibrary.
-  for (int round = 0; round < 2; ++round) {
-    bool probe_due_now = false;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (const auto it = models_.find(name); it != models_.end()) {
-        return it->second;
-      }
-      const auto qit = quarantined_.find(name);
-      if (qit == quarantined_.end()) {
-        std::string known;
-        for (const auto& [model_name, model] : models_) {
-          if (!known.empty()) known += ", ";
-          known += model_name;
-        }
-        throw Error(ErrorCode::kNotFound,
-                    "model '" + name + "' is not registered (known: " +
-                        (known.empty() ? "none" : known) + ")");
-      }
-      probe_due_now =
-          round == 0 &&
-          std::chrono::steady_clock::now() >= qit->second.next_probe;
-      if (!probe_due_now) {
-        throw Error(ErrorCode::kUnavailable,
-                    "model '" + name + "' is quarantined (" +
-                        std::string(to_string(qit->second.info.code)) + ": " +
-                        qit->second.info.reason + ")");
-      }
-    }
-    if (!try_probe(name)) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (const auto it = quarantined_.find(name); it != quarantined_.end()) {
-        throw Error(ErrorCode::kUnavailable,
-                    "model '" + name + "' is quarantined (" +
-                        std::string(to_string(it->second.info.code)) + ": " +
-                        it->second.info.reason + ")");
-      }
-      // Raced with a restore; retry the lookup.
-    }
-  }
-  throw Error(ErrorCode::kUnavailable, "model '" + name + "' is unavailable");
-}
-
-bool ModelRegistry::quarantine(const std::string& name, ErrorCode code,
-                               const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = models_.find(name);
-  if (it == models_.end()) {
-    if (const auto qit = quarantined_.find(name); qit != quarantined_.end()) {
-      qit->second.info.code = code;
-      qit->second.info.reason = reason;
-    }
-    return false;
-  }
-  Quarantine q;
-  const auto pit = paths_.find(name);
-  q.info = QuarantinedResource{
-      name, pit != paths_.end() ? pit->second : std::string(), code, reason, 0};
-  q.next_probe = std::chrono::steady_clock::now() + probe_interval_;
-  quarantined_[name] = std::move(q);
-  models_.erase(it);
-  return true;
-}
-
-void ModelRegistry::set_probe_interval(std::chrono::milliseconds interval) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  probe_interval_ = interval;
-}
-
-bool ModelRegistry::try_probe(const std::string& name) {
-  std::string path;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = quarantined_.find(name);
-    if (it == quarantined_.end()) return models_.count(name) > 0;
-    const auto now = std::chrono::steady_clock::now();
-    if (now < it->second.next_probe) return false;
-    it->second.next_probe = now + probe_interval_;
-    ++it->second.info.probes;
-    path = it->second.info.path;
-    if (path.empty()) {
-      // In-process model: nothing on disk to reload.  Only an explicit
-      // re-registration recovers it.
-      it->second.info.reason =
-          "registered in-process; re-register to recover";
-      return false;
-    }
-  }
-  try {
-    auto model = std::make_shared<const dse::SurrogateSuite::DeployedModel>(
-        dse::SurrogateSuite::DeployedModel::load_file(path));
-    std::lock_guard<std::mutex> lock(mutex_);
-    quarantined_.erase(name);
-    models_[name] = std::move(model);
-    return true;
-  } catch (const Error& e) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (const auto it = quarantined_.find(name); it != quarantined_.end()) {
-      it->second.info.code = e.code();
-      it->second.info.reason = e.what();
-    }
-    return false;
-  }
-}
-
-std::size_t ModelRegistry::probe_due() {
-  std::vector<std::string> due;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto now = std::chrono::steady_clock::now();
-    for (const auto& [name, q] : quarantined_) {
-      if (now >= q.next_probe) due.push_back(name);
-    }
-  }
-  std::size_t restored = 0;
-  for (const std::string& name : due) {
-    if (try_probe(name)) ++restored;
-  }
-  return restored;
-}
-
-std::vector<QuarantinedResource> ModelRegistry::quarantined() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<QuarantinedResource> out;
-  out.reserve(quarantined_.size());
-  for (const auto& [name, q] : quarantined_) out.push_back(q.info);
-  return out;
-}
-
-std::size_t ModelRegistry::quarantined_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return quarantined_.size();
-}
-
-std::vector<std::string> ModelRegistry::names() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> out;
-  out.reserve(models_.size());
-  for (const auto& [name, model] : models_) out.push_back(name);
-  return out;
-}
-
-std::size_t ModelRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return models_.size();
+  put(name, "", std::make_shared<const dse::SurrogateSuite::DeployedModel>(
+                    std::move(model)));
 }
 
 }  // namespace gmd::service

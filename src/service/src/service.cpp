@@ -47,12 +47,22 @@ Json error_json(const Json& id, ErrorCode code, const std::string& message) {
   return response;
 }
 
-/// Error codes that indicate the *resource* (store bytes, model
-/// artifact) is bad, as opposed to the request being malformed or the
-/// budget expiring — only these trigger quarantine.
-bool is_resource_fault(ErrorCode code) {
-  return code == ErrorCode::kTrace || code == ErrorCode::kIo ||
-         code == ErrorCode::kInvalidData;
+/// Runs `use` on the resource `name` from `registry`.  A failure whose
+/// code says the *resource* (store bytes, model artifact) is bad — not
+/// a malformed request or an expired budget — quarantines `name`
+/// before the error propagates.
+template <typename Resources, typename Use>
+Json quarantine_on_fault(Resources& registry, const std::string& name,
+                         Use use) {
+  try {
+    return use();
+  } catch (const Error& e) {
+    if (e.code() == ErrorCode::kTrace || e.code() == ErrorCode::kIo ||
+        e.code() == ErrorCode::kInvalidData) {
+      registry.quarantine(name, e.code(), e.what());
+    }
+    throw;
+  }
 }
 
 Json metrics_to_json(const dse::MetricsRow& row) {
@@ -310,7 +320,7 @@ Json Service::run_simulate(const Request& request, Deadline* deadline) {
   // instead of re-reading rotten data, then surface the original error.
   const auto store = traces_.find(trace_name);
   const std::uint64_t checksum = store->content_checksum();
-  try {
+  return quarantine_on_fault(traces_, trace_name, [&] {
     Json::Array rows;
     std::uint64_t hits = 0;
     for (const dse::DesignPoint& point : points) {
@@ -352,12 +362,7 @@ Json Service::run_simulate(const Request& request, Deadline* deadline) {
     response["rows"] = Json(std::move(rows));
     response["cache_hits"] = hits;
     return response;
-  } catch (const Error& e) {
-    if (is_resource_fault(e.code())) {
-      traces_.quarantine(trace_name, e.code(), e.what());
-    }
-    throw;
-  }
+  });
 }
 
 Json Service::run_predict(const Request& request, Deadline* deadline) {
@@ -375,7 +380,7 @@ Json Service::run_predict(const Request& request, Deadline* deadline) {
   const auto model = models_.find(model_name);
   if (deadline != nullptr) deadline->check_now();
 
-  try {
+  return quarantine_on_fault(models_, model_name, [&] {
     GMD_FAULT_POINT("service.model_predict");
     // One matrix build + one batch inference for the whole request.
     const std::vector<double> values = model->predict(points);
@@ -386,12 +391,7 @@ Json Service::run_predict(const Request& request, Deadline* deadline) {
     response["family"] = model->model->name();
     response["values"] = Json(std::move(values_json));
     return response;
-  } catch (const Error& e) {
-    if (is_resource_fault(e.code())) {
-      models_.quarantine(model_name, e.code(), e.what());
-    }
-    throw;
-  }
+  });
 }
 
 Json Service::run_recommend(const Request& request, Deadline* deadline) {
@@ -415,7 +415,7 @@ Json Service::run_recommend(const Request& request, Deadline* deadline) {
   }
   if (deadline != nullptr) deadline->check_now();
 
-  try {
+  return quarantine_on_fault(models_, model_name, [&] {
     GMD_FAULT_POINT("service.model_predict");
     const std::vector<double> values = model->predict(candidates);
     std::size_t best = 0;
@@ -435,12 +435,7 @@ Json Service::run_recommend(const Request& request, Deadline* deadline) {
     response["value"] = values[best];
     response["candidates"] = candidates.size();
     return response;
-  } catch (const Error& e) {
-    if (is_resource_fault(e.code())) {
-      models_.quarantine(model_name, e.code(), e.what());
-    }
-    throw;
-  }
+  });
 }
 
 Json Service::stats_json() const {

@@ -112,8 +112,9 @@ void BM_MemorySimulationNvm(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySimulationNvm);
 
-/// The sweep's hot loop: replaying a shared predecoded trace (split,
-/// decode, and tick scaling already amortized across the config group).
+/// The sweep's hot loop: replaying a shared predecoded trace (split and
+/// decode already amortized across the config group; replay stamps each
+/// event's controller cycle).
 void BM_MemorySimulationPredecoded(benchmark::State& state) {
   const auto trace = make_trace(1024);
   const auto config = memsim::make_dram_config(2, 666, 3000);

@@ -139,19 +139,22 @@ echo "external worker over a limited million-point space matches single-process 
 
 echo
 echo "== bounded-memory sweep =="
-# The sweep keeps a trace group's predecoded stream only while that
-# group's members replay, so peak memory grows with the thread count,
-# not with the 64 groups of the paper grid.  Keeping every stream for
-# the whole sweep peaks near 290 MB here; the bound fails that.  Each
-# pool thread adds about 4 MB, so the bound holds up to about 16
-# hardware threads (4 threads peak near 37 MB).
+# The sweep keeps a predecoded stream only while the task that built it
+# replays its members, so peak memory grows with the thread count, not
+# with the four clock-free geometries of the paper grid (each split into
+# per-thread pieces).  Building one stream per (geometry, clock pair)
+# and keeping all of them for the whole sweep peaked near 290 MB here;
+# the bound fails that.  The arithmetic: 4 threads peak near 29 MB, and
+# each further pool thread adds one live stream of about 5 MB (71,630
+# requests at 60 B, plus its arena), so 16 hardware threads reach
+# 29 + 12 * 5 = 89 MB (measured: 86 MB), rounded up to the bound.
 python3 - "$GMD" sweep --vertices 1024 \
   --space paper --csv "$SMOKE_DIR/bounded-sweep.csv" <<'PY'
 import resource
 import subprocess
 import sys
 
-LIMIT_MB = 100
+LIMIT_MB = 90
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(f"1024-vertex paper-grid sweep peaked at {peak_mb:.0f} MB "

@@ -9,6 +9,7 @@
 /// NVM.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -106,12 +107,22 @@ class HybridMemory {
 /// (migration_threshold == 0): returns the {DRAM side, NVM side}
 /// request streams ready for HybridMemory::simulate's fast path.  Both
 /// sides can be shared by every hybrid point with the same
-/// hybrid_trace_key().
+/// hybrid_trace_key(), whatever its clocks.
 std::pair<PredecodedTrace, PredecodedTrace> predecode_hybrid(
     const HybridConfig& config, std::span<const cpusim::MemoryEvent> trace);
 
-/// Sharing key for predecode_hybrid results: both sides' decode keys
-/// plus the routing fields (dram_fraction, page_bytes).
+/// Streaming form: each call of `open` starts a fresh pass over the
+/// trace's chunks (see PredecodedTrace::EventChunkSource).  It is called
+/// twice: one pass counts each side's events, so both sides are
+/// allocated once at their size instead of regrowing, and the second
+/// routes and decodes.  Equivalent to the span overload on the
+/// concatenation of the chunks.
+std::pair<PredecodedTrace, PredecodedTrace> predecode_hybrid(
+    const HybridConfig& config,
+    const std::function<PredecodedTrace::EventChunkSource()>& open);
+
+/// Sharing key for predecode_hybrid results: both sides' clock-free
+/// decode keys plus the routing fields (dram_fraction, page_bytes).
 std::string hybrid_trace_key(const HybridConfig& config);
 
 }  // namespace gmd::memsim

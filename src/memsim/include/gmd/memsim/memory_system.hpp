@@ -31,9 +31,11 @@ class MemorySystem {
   /// the memory clock.  Accesses wider than one memory word are split.
   void enqueue_event(const cpusim::MemoryEvent& event);
 
-  /// Feeds an already split/decoded/scaled request stream.  The trace's
-  /// decode key must match this system's config (GMD_REQUIRE'd);
-  /// produces results identical to replaying the raw events.
+  /// Feeds an already split/decoded request stream, stamping each
+  /// request's tick to a controller cycle under this config's clocks.
+  /// The trace's decode key must match this system's config
+  /// (GMD_REQUIRE'd); produces results identical to replaying the raw
+  /// events.
   void enqueue_predecoded(const PredecodedTrace& trace);
 
   /// Ends the warmup phase of a measured window (the sampled-simulation
@@ -75,8 +77,8 @@ class MemorySystem {
 
   MemoryConfig config_;
   AddressDecoder decoder_;
+  TickStamp stamp_;  ///< CPU tick to controller cycle.
   std::vector<Channel> channels_;
-  TickConverter ticker_{config_};  ///< Per-event tick scaling.
   FlatCounter line_writes_;  ///< 64B-line write counts (endurance).
   /// Per-channel counter baselines subtracted by finish().  All zero
   /// until begin_measurement() snapshots the warmup totals; subtracting

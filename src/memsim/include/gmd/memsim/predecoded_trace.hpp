@@ -1,15 +1,16 @@
 #pragma once
 
 /// \file predecoded_trace.hpp
-/// A memory-event trace with the per-config preprocessing already done:
-/// wide accesses split into word-granular requests, addresses decoded to
-/// (channel, rank, bank, row, column), CPU ticks scaled to controller
-/// cycles, and 64B endurance line indexes computed.  The decode depends
-/// only on the mapping geometry and the two clocks — not on timing,
-/// energy, or controller policy — so one predecoded trace feeds every
-/// sweep point that shares those fields (e.g. all six NVM tRCD variants
-/// of a cell), instead of re-running AddressDecoder::decode per event
-/// per config.
+/// A memory-event trace with the per-geometry preprocessing already
+/// done: wide accesses split into word-granular requests, addresses
+/// decoded to (channel, rank, bank, row, column), and 64B endurance line
+/// indexes computed.  The decode depends only on the mapping geometry —
+/// not on the clocks, timing, energy, or controller policy — so one
+/// predecoded trace feeds every sweep point that shares those fields
+/// (e.g. every clock pair and NVM tRCD variant of a channel count),
+/// instead of re-running AddressDecoder::decode per event per config.
+/// Requests keep their CPU tick; replay stamps each event's controller
+/// cycle under the replaying config's clocks.
 
 #include <cstdint>
 #include <functional>
@@ -25,12 +26,20 @@
 namespace gmd::memsim {
 
 /// Ready-to-enqueue request stream, one entry per word-granular
-/// request, in arrival order.  Replay hands each Request straight to
-/// its channel — no per-event assembly left.
+/// request, in trace order.  Replay stamps each request's cycle and
+/// hands the Request straight to its channel — no per-event split or
+/// decode left.
 struct PredecodedTrace {
-  std::vector<Request> request;        ///< Decoded, cycle-stamped.
+  /// Decoded requests.  `arrival` holds the CPU tick of the event the
+  /// request was split from; MemorySystem::enqueue_predecoded stamps
+  /// the controller cycle at replay.
+  std::vector<Request> request;
   std::vector<std::uint32_t> channel;  ///< Target channel per request.
   std::vector<std::uint64_t> line;     ///< 64B line index (endurance).
+
+  PredecodedTrace() = default;
+  /// An empty stream for `config`'s decode geometry.
+  explicit PredecodedTrace(const MemoryConfig& config);
 
   /// The decode key this trace was built for (see key()); simulate()
   /// refuses a config with a different key.
@@ -39,11 +48,11 @@ struct PredecodedTrace {
   std::size_t size() const { return request.size(); }
   void reserve(std::size_t n);
 
-  /// Splits, scales, and decodes one event onto the end of the arrays.
-  /// `decoder` and `ticker` must have been built from `config` (the
-  /// ticker carries the incremental tick-scaling state across events).
+  /// Splits and decodes one event onto the end of the stream.
+  /// `decoder` must have been built from `config`, and the stream
+  /// constructed for it.
   void append_event(const MemoryConfig& config, const AddressDecoder& decoder,
-                    TickConverter& ticker, const cpusim::MemoryEvent& event);
+                    const cpusim::MemoryEvent& event);
 
   /// Predecodes a whole trace for `config`'s decode geometry.
   static PredecodedTrace build(const MemoryConfig& config,
@@ -59,15 +68,15 @@ struct PredecodedTrace {
 
   /// Streaming predecode: pulls chunks from `source` until it returns
   /// an empty span.  `size_hint` (total events, if known) pre-sizes the
-  /// arrays.  Equivalent to the span overload on the concatenation of
+  /// stream.  Equivalent to the span overload on the concatenation of
   /// the chunks.
   static PredecodedTrace build(const MemoryConfig& config,
                                const EventChunkSource& source,
                                std::size_t size_hint = 0);
 
   /// The fields the predecode depends on, serialized: mapping scheme,
-  /// geometry, access size, and the two clocks.  Configs with equal
-  /// keys can share one predecoded trace.
+  /// geometry, and access size.  Configs with equal keys — whatever
+  /// their clocks — can share one predecoded trace.
   static std::string key(const MemoryConfig& config);
 };
 

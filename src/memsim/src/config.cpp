@@ -1,6 +1,7 @@
 #include "gmd/memsim/config.hpp"
 
 #include <bit>
+#include <limits>
 
 #include "gmd/common/error.hpp"
 
@@ -27,6 +28,15 @@ void MemoryConfig::validate() const {
   if (timing.tREFI != 0) {
     GMD_REQUIRE(timing.tREFI > timing.tRFC,
                 "tREFI must exceed tRFC or the device only refreshes");
+  }
+}
+
+TickStamp::TickStamp(const MemoryConfig& config)
+    : clock_(config.clock_mhz), cpu_(config.cpu_freq_mhz) {
+  if (clock_ < cpu_) {  // else the scale would not fit in 64 bits
+    scale_ = static_cast<std::uint64_t>(
+        ((static_cast<__uint128_t>(clock_) << 64) + cpu_ - 1) / cpu_);
+    limit_ = std::numeric_limits<std::uint64_t>::max() / cpu_;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 #include "gmd/common/error.hpp"
 #include "gmd/common/rng.hpp"
@@ -166,26 +167,47 @@ MemoryMetrics HybridMemory::simulate(const HybridConfig& config,
 }
 
 std::pair<PredecodedTrace, PredecodedTrace> predecode_hybrid(
-    const HybridConfig& config, std::span<const cpusim::MemoryEvent> trace) {
+    const HybridConfig& config,
+    const std::function<PredecodedTrace::EventChunkSource()>& open) {
   GMD_REQUIRE(config.migration_threshold == 0,
               "predecode_hybrid requires a static split");
   config.validate();
+  std::size_t dram_events = 0;
+  std::size_t events = 0;
+  const PredecodedTrace::EventChunkSource count = open();
+  for (auto chunk = count(); !chunk.empty(); chunk = count()) {
+    for (const cpusim::MemoryEvent& event : chunk) {
+      dram_events += HybridMemory::static_routes_to_dram(config, event.address);
+    }
+    events += chunk.size();
+  }
   const AddressDecoder dram_decoder(config.dram);
   const AddressDecoder nvm_decoder(config.nvm);
-  TickConverter dram_ticker(config.dram);
-  TickConverter nvm_ticker(config.nvm);
-  PredecodedTrace dram_side;
-  PredecodedTrace nvm_side;
-  dram_side.config_key = PredecodedTrace::key(config.dram);
-  nvm_side.config_key = PredecodedTrace::key(config.nvm);
-  for (const cpusim::MemoryEvent& event : trace) {
-    if (HybridMemory::static_routes_to_dram(config, event.address)) {
-      dram_side.append_event(config.dram, dram_decoder, dram_ticker, event);
-    } else {
-      nvm_side.append_event(config.nvm, nvm_decoder, nvm_ticker, event);
+  PredecodedTrace dram_side(config.dram);
+  PredecodedTrace nvm_side(config.nvm);
+  dram_side.reserve(dram_events);
+  nvm_side.reserve(events - dram_events);
+  const PredecodedTrace::EventChunkSource source = open();
+  for (auto chunk = source(); !chunk.empty(); chunk = source()) {
+    for (const cpusim::MemoryEvent& event : chunk) {
+      if (HybridMemory::static_routes_to_dram(config, event.address)) {
+        dram_side.append_event(config.dram, dram_decoder, event);
+      } else {
+        nvm_side.append_event(config.nvm, nvm_decoder, event);
+      }
     }
   }
   return {std::move(dram_side), std::move(nvm_side)};
+}
+
+std::pair<PredecodedTrace, PredecodedTrace> predecode_hybrid(
+    const HybridConfig& config, std::span<const cpusim::MemoryEvent> trace) {
+  return predecode_hybrid(config, [trace] {
+    return PredecodedTrace::EventChunkSource(
+        [chunk = trace]() mutable {
+          return std::exchange(chunk, std::span<const cpusim::MemoryEvent>{});
+        });
+  });
 }
 
 std::string hybrid_trace_key(const HybridConfig& config) {

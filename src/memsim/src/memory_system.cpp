@@ -7,7 +7,7 @@
 namespace gmd::memsim {
 
 MemorySystem::MemorySystem(const MemoryConfig& config)
-    : config_(config), decoder_(config) {
+    : config_(config), decoder_(config), stamp_(config) {
   config_.validate();
   channels_.reserve(config_.channels);
   for (std::uint32_t c = 0; c < config_.channels; ++c) {
@@ -28,7 +28,7 @@ void MemorySystem::enqueue_event(const cpusim::MemoryEvent& event) {
   GMD_REQUIRE(!finished_, "enqueue_event after finish()");
   GMD_REQUIRE(event.size > 0, "event size must be positive");
   const std::uint64_t word = config_.access_bytes();
-  const std::uint64_t cycle = ticker_(event.tick);
+  const std::uint64_t cycle = stamp_(event.tick);
   // Split wide accesses into word-granular requests, as a memory
   // controller's transaction splitter would.  Power-of-two words (the
   // usual case) round with a mask instead of a division pair.
@@ -66,10 +66,22 @@ void MemorySystem::enqueue_predecoded(const PredecodedTrace& trace) {
               "predecoded trace was built for a different decode geometry ('"
                   << trace.config_key << "' vs '"
                   << PredecodedTrace::key(config_) << "')");
+  // The stream carries CPU ticks; each request's cycle is stamped here
+  // under this config's clocks.  The requests split from one event (and
+  // runs of events) share a tick, so a cycle is computed once per run.
+  // The local copy of the stamp stays in registers across the channel
+  // calls.
+  const TickStamp stamp = stamp_;
+  std::uint64_t tick = 0;
+  std::uint64_t cycle = 0;
   const std::size_t n = trace.size();
   for (std::size_t i = 0; i < n; ++i) {
     const Request& request = trace.request[i];
-    channels_[trace.channel[i]].enqueue_trusted(request);
+    if (request.arrival != tick) {
+      tick = request.arrival;
+      cycle = stamp(tick);
+    }
+    channels_[trace.channel[i]].enqueue_trusted(request, cycle);
     if (request.is_write) line_writes_.bump(trace.line[i]);
   }
 }

@@ -6,6 +6,9 @@
 
 namespace gmd::memsim {
 
+PredecodedTrace::PredecodedTrace(const MemoryConfig& config)
+    : config_key(key(config)) {}
+
 void PredecodedTrace::reserve(std::size_t n) {
   request.reserve(n);
   channel.reserve(n);
@@ -14,11 +17,9 @@ void PredecodedTrace::reserve(std::size_t n) {
 
 void PredecodedTrace::append_event(const MemoryConfig& config,
                                    const AddressDecoder& decoder,
-                                   TickConverter& ticker,
                                    const cpusim::MemoryEvent& event) {
   GMD_REQUIRE(event.size > 0, "event size must be positive");
   const std::uint64_t word = config.access_bytes();
-  const std::uint64_t cycle = ticker(event.tick);
   // Split wide accesses into word-granular requests, as a memory
   // controller's transaction splitter would (MemorySystem::enqueue_event
   // does the same split on the undecoded path).
@@ -33,14 +34,13 @@ void PredecodedTrace::append_event(const MemoryConfig& config,
   }
   for (std::uint64_t addr = first; addr <= last; addr += word) {
     const DecodedAddress loc = decoder.decode(addr);
-    Request req;
-    req.arrival = cycle;
+    Request& req = request.emplace_back();
+    req.arrival = event.tick;  // stamped to a cycle at replay
     req.rank = loc.rank;
     req.bank = loc.bank;
     req.row = loc.row;
     req.column = loc.column;
     req.is_write = event.is_write;
-    request.push_back(req);
     channel.push_back(loc.channel);
     line.push_back(addr / 64);
   }
@@ -49,12 +49,10 @@ void PredecodedTrace::append_event(const MemoryConfig& config,
 PredecodedTrace PredecodedTrace::build(
     const MemoryConfig& config, std::span<const cpusim::MemoryEvent> trace) {
   const AddressDecoder decoder(config);
-  TickConverter ticker(config);
-  PredecodedTrace out;
-  out.config_key = key(config);
+  PredecodedTrace out(config);
   out.reserve(trace.size());
   for (const cpusim::MemoryEvent& event : trace) {
-    out.append_event(config, decoder, ticker, event);
+    out.append_event(config, decoder, event);
   }
   return out;
 }
@@ -63,13 +61,11 @@ PredecodedTrace PredecodedTrace::build(const MemoryConfig& config,
                                        const EventChunkSource& source,
                                        std::size_t size_hint) {
   const AddressDecoder decoder(config);
-  TickConverter ticker(config);
-  PredecodedTrace out;
-  out.config_key = key(config);
+  PredecodedTrace out(config);
   if (size_hint > 0) out.reserve(size_hint);
   for (auto chunk = source(); !chunk.empty(); chunk = source()) {
     for (const cpusim::MemoryEvent& event : chunk) {
-      out.append_event(config, decoder, ticker, event);
+      out.append_event(config, decoder, event);
     }
   }
   return out;
@@ -79,8 +75,7 @@ std::string PredecodedTrace::key(const MemoryConfig& config) {
   std::ostringstream os;
   os << config.address_mapping << "|ch" << config.channels << "|rk"
      << config.ranks << "|bk" << config.banks << "|r" << config.rows << "|rb"
-     << config.row_bytes << "|ab" << config.access_bytes() << "|clk"
-     << config.clock_mhz << "|cpu" << config.cpu_freq_mhz;
+     << config.row_bytes << "|ab" << config.access_bytes();
   return os.str();
 }
 

@@ -113,13 +113,20 @@ TEST_F(SimulatePointStore, WarmPredecodedFeedIsIdentical) {
   expect_metrics_identical(simulate_point(*store_, point, warm).metrics,
                            cold.metrics);
 
-  SimulateOptions raw;
-  raw.raw_events = events;
-  expect_metrics_identical(simulate_point(*store_, point, raw).metrics,
+  // A stream is clock-free: one built under other clocks replays the
+  // point identically.
+  DesignPoint other_clocks = point;
+  other_clocks.cpu_freq_mhz = 6500;
+  other_clocks.ctrl_freq_mhz = 1600;
+  const memsim::PredecodedTrace shared =
+      memsim::PredecodedTrace::build(other_clocks.single_config(), events);
+  SimulateOptions reused;
+  reused.predecoded = &shared;
+  expect_metrics_identical(simulate_point(*store_, point, reused).metrics,
                            cold.metrics);
 }
 
-// Hybrid points take the raw-event path (optionally warm).
+// Hybrid points replay predecoded sides (optionally warm).
 TEST_F(SimulatePointStore, HybridMatchesSweep) {
   DesignPoint point;
   point.kind = MemoryKind::kHybrid;
@@ -136,10 +143,14 @@ TEST_F(SimulatePointStore, HybridMatchesSweep) {
   expect_metrics_identical(cold.metrics, rows[0].metrics);
 
   const auto events = store_->read_all();
+  const auto [dram_side, nvm_side] =
+      memsim::predecode_hybrid(point.hybrid_config(), events);
   SimulateOptions warm;
-  warm.raw_events = events;
+  warm.dram_side = &dram_side;
+  warm.nvm_side = &nvm_side;
   expect_metrics_identical(simulate_point(*store_, point, warm).metrics,
                            rows[0].metrics);
+  expect_metrics_identical(simulate_point(point, events), rows[0].metrics);
 }
 
 // Sampled geometry must reproduce the sampled sweep's estimates and

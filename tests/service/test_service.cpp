@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <mutex>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -429,6 +430,56 @@ TEST_F(ServiceTest, SampledSimulationReportsConfidenceIntervals) {
   request["sampling"]["seed"] = 8;
   const Json reseeded = Json::parse(service->handle(request.dump()));
   EXPECT_EQ(reseeded.number_or("cache_hits", -1.0), 0.0);
+}
+
+// The service keeps one predecoded feed per clock-free geometry a
+// request reaches: the 416-point paper grid reaches four (two channel
+// counts, single-technology and hybrid), whatever the clocks.
+class ServiceFeedBound : public ServiceTest {};
+
+TEST_F(ServiceFeedBound, PaperGridHoldsOneFeedPerGeometry) {
+  // A result cache far smaller than the grid: the second pass misses it
+  // and replays the cached feeds again.
+  ServiceOptions options;
+  options.cache_capacity = 8;
+  options.cache_shards = 1;
+  auto service = make_service(options);
+  const std::vector<dse::DesignPoint> grid = dse::paper_design_space();
+  std::set<std::string> geometries;
+  for (const dse::DesignPoint& point : grid) {
+    geometries.insert(dse::feed_key(point));
+  }
+  ASSERT_EQ(geometries.size(), 4u);
+
+  tracestore::TraceStoreReader store(*store_path_);
+  const std::vector<dse::SweepRow> reference = dse::run_sweep(grid, store);
+  const auto names = memsim::MemoryMetrics::metric_names();
+  for (const int pass : {1, 2}) {
+    const Json response =
+        Json::parse(service->handle(simulate_request(grid).dump()));
+    ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+    EXPECT_LT(response.number_or("cache_hits", -1.0), 8.5);
+    EXPECT_EQ(service->traces().cached_feeds(), geometries.size())
+        << "pass " << pass;
+    const Json::Array& rows = response.at("rows").as_array();
+    ASSERT_EQ(rows.size(), grid.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_TRUE(reference[i].ok()) << reference[i].error;
+      const auto values = reference[i].metrics.metric_values();
+      for (std::size_t m = 0; m < names.size(); ++m) {
+        ASSERT_EQ(rows[i].at("metrics").at(std::string(names[m])).as_number(),
+                  values[m])
+            << "pass " << pass << " " << grid[i].id() << " " << names[m];
+      }
+    }
+  }
+  const Json stats = Json::parse(service->handle(R"({"verb":"stats"})"));
+  EXPECT_EQ(stats.at("cached_feeds").as_number(),
+            static_cast<double>(geometries.size()));
+
+  // Bad content takes every feed built from it down with it.
+  EXPECT_TRUE(service->traces().quarantine("bfs", ErrorCode::kTrace, "test"));
+  EXPECT_EQ(service->traces().cached_feeds(), 0u);
 }
 
 }  // namespace

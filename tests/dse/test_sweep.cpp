@@ -292,6 +292,77 @@ TEST(SweepGroupLifetime, FaultedMemberLeavesItsGroupBitIdentical) {
   }
 }
 
+/// Sweeps `points` at `threads` threads, checks every row against
+/// `reference`, and returns each pool task's point indices as
+/// SweepOptions::task_hook reported them: one entry per stream build.
+std::vector<std::vector<std::size_t>> sweep_tasks(
+    const std::vector<DesignPoint>& points,
+    const std::vector<cpusim::MemoryEvent>& trace,
+    const std::vector<memsim::MemoryMetrics>& reference, std::size_t threads) {
+  std::mutex mutex;
+  std::vector<std::vector<std::size_t>> tasks;
+  SweepOptions options;
+  options.num_threads = threads;
+  options.task_hook = [&](std::span<const std::size_t> members) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    tasks.emplace_back(members.begin(), members.end());
+  };
+  const auto rows = run_sweep(points, trace, options);
+  EXPECT_EQ(rows.size(), points.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_TRUE(rows[i].ok()) << rows[i].error;
+    expect_same_metrics(rows[i].metrics, reference[i],
+                        points[i].id() + " at " + std::to_string(threads) +
+                            " threads");
+  }
+  // Every task replays at least one point, every point exactly once,
+  // and a task's points share one feed.
+  std::vector<std::size_t> seen(points.size(), 0);
+  for (const auto& members : tasks) {
+    EXPECT_FALSE(members.empty()) << threads << " threads";
+    for (const std::size_t i : members) {
+      ++seen[i];
+      EXPECT_EQ(feed_key(points[i]), feed_key(points[members.front()]))
+          << points[i].id();
+    }
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(seen[i], 1u) << points[i].id();
+  }
+  return tasks;
+}
+
+TEST(SweepGroupLifetime, SmallHybridGroupBuildsNoMoreStreamsThanPoints) {
+  const auto trace = small_trace(64);
+  GridAxes axes;
+  axes.kinds = {MemoryKind::kHybrid};
+  axes.cpu_freqs_mhz = {2000, 3000, 5000};
+  axes.ctrl_freqs_mhz = {400};
+  axes.channel_counts = {2};
+  axes.trcds = {20};
+  const auto points = enumerate_grid(axes);
+  ASSERT_EQ(points.size(), 3u);
+  const auto reference = simulate_each(points, trace);
+  // One thread never splits; more threads than points give each point
+  // its own build and never an empty one.
+  EXPECT_EQ(sweep_tasks(points, trace, reference, 1).size(), 1u);
+  EXPECT_EQ(sweep_tasks(points, trace, reference, 2).size(), 2u);
+  EXPECT_EQ(sweep_tasks(points, trace, reference, 8).size(), 3u);
+}
+
+TEST(SweepGroupLifetime, PaperGridBuildsTwoStreamsPerFeedAtFourThreads) {
+  const auto trace = small_trace(64);
+  const auto points = paper_design_space();
+  const auto reference = simulate_each(points, trace);
+  EXPECT_EQ(sweep_tasks(points, trace, reference, 1).size(), 4u);
+  const auto tasks = sweep_tasks(points, trace, reference, 4);
+  ASSERT_EQ(tasks.size(), 8u);
+  std::map<std::string, std::size_t> builds;
+  for (const auto& members : tasks) ++builds[feed_key(points[members[0]])];
+  ASSERT_EQ(builds.size(), 4u);
+  for (const auto& [key, count] : builds) EXPECT_EQ(count, 2u) << key;
+}
+
 TEST(SweepGroupLifetime, PredecodeErrorThrowsUnderEveryPolicy) {
   // A zero-size access cannot be split into requests: predecoding the
   // trace fails for every group.  That is a fault of the trace, not of

@@ -245,3 +245,13 @@ echo "== query service gauge (compare against BENCH_service.json) =="
 echo
 echo "== explorer gauge, quick mode (compare against BENCH_explorer.json) =="
 "$BUILD_DIR/bench/bench_explorer" --quick
+
+echo
+echo "== code size gauge (non-blank lines that are not // comments) =="
+# The ROADMAP's counting method: every .cpp and .hpp file, less blank
+# lines and whole-line // comments.  A printed number, not a gate.
+for dir in src examples; do
+  lines=$(find "$dir" \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
+    xargs -0 cat | grep -v '^[[:space:]]*$' | grep -cv '^[[:space:]]*//')
+  echo "$dir/: $lines code lines"
+done

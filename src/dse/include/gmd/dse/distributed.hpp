@@ -145,16 +145,17 @@ WorkerResult run_sweep_worker(const RunDir& run,
                               const tracestore::TraceStoreReader& store,
                               const WorkerOptions& options);
 
+/// Hard bound on re-issues per shard; the supervisor throws
+/// Error(kSimulation) past it — the shard is poisoning every worker that
+/// touches it without ever journaling a terminal row.
+inline constexpr std::uint64_t kMaxShardGenerations = 64;
+
 struct SupervisorOptions {
   std::size_t shard_size = 16;
   /// A lease whose content has not changed for this long (on the
   /// supervisor's steady clock) is expired and its shard re-issued.
   std::chrono::milliseconds lease_ttl{2000};
   std::chrono::milliseconds poll_interval{25};
-  /// Hard bound on re-issues per shard; exceeding it throws
-  /// Error(kSimulation) — the shard is poisoning every worker that
-  /// touches it without ever journaling a terminal row.
-  std::uint64_t max_generations = 64;
   Deadline* cancel = nullptr;  ///< Optional external stop. Non-owning.
   /// Called once per poll after the invariant pass — the fork runner
   /// reaps/respawns children here.  May throw to abort the run.
@@ -172,18 +173,19 @@ std::vector<SweepRow> supervise(const RunDir& run,
                                 const SupervisorOptions& options,
                                 DistributedStats* stats = nullptr);
 
+/// Worker respawns one run_sweep_distributed call allows.
+inline constexpr std::size_t kMaxRespawns = 16;
+
 struct DistributedSweepOptions {
   std::size_t num_workers = 4;
   std::size_t shard_size = 16;
   std::chrono::milliseconds lease_ttl{2000};
   std::chrono::milliseconds heartbeat_interval{100};
   std::chrono::milliseconds poll_interval{25};
-  std::uint64_t max_generations = 64;
   /// Respawn a worker process that died before the run completed, up to
-  /// max_respawns total.  With respawning off (or the budget spent) the
+  /// kMaxRespawns total.  With respawning off (or the budget spent) the
   /// survivors absorb the dead worker's shards via lease expiry.
   bool respawn_dead_workers = true;
-  std::size_t max_respawns = 16;
 
   // --- deterministic fault injection (tests/CI) ------------------------
   /// The first kill_workers initial workers _Exit(137) — no unwinding,

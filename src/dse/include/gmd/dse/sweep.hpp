@@ -4,22 +4,22 @@
 /// Runs the memory simulator over a set of design points — the
 /// labeled-data-generation stage of the workflow (NVMain's role in
 /// Figure 1).  Points that share a clock-free decode geometry (see
-/// feed_key) form a trace group and replay one predecoded stream
-/// instead of re-splitting and re-decoding the event stream per config.
+/// feed_key) form a trace group and replay one Feed instead of
+/// re-splitting and re-decoding the event stream per config.
 /// Each group — or, for a group costing more than one thread's share of
 /// the sweep, each interleaved piece of it (never more pieces than
-/// points) — is one task on a thread pool: the task builds its stream,
-/// replays the members in point order and drops the stream, so at most
-/// num_threads streams are live at once.
+/// points) — is one task on a thread pool: the task builds its feed,
+/// replays the members in point order and drops the feed, so at most
+/// num_threads feeds are live at once.
 /// Workers claim tasks from a shared counter, most expensive first
 /// (dynamic load balancing).
 ///
 /// Execution is fault-tolerant: each point carries a typed outcome, a
-/// FailurePolicy selects fail-fast / skip-and-report / retry-with-
-/// backoff, per-point wall budgets cancel stuck simulations via
-/// gmd::Deadline, and an optional journal checkpoints completed rows so
-/// an interrupted sweep can resume without re-simulating (see
-/// checkpoint.hpp for the journal format).
+/// FailurePolicy selects fail-fast / skip-and-report / retry, per-point
+/// wall budgets cancel stuck simulations via gmd::Deadline, and an
+/// optional journal checkpoints completed rows so an interrupted sweep
+/// can resume without re-simulating (see checkpoint.hpp for the journal
+/// format).
 
 #include <chrono>
 #include <cstddef>
@@ -27,7 +27,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "gmd/common/deadline.hpp"
@@ -35,15 +34,12 @@
 #include "gmd/cpusim/memory_event.hpp"
 #include "gmd/dse/design_point.hpp"
 #include "gmd/memsim/metrics.hpp"
+#include "gmd/memsim/predecoded_trace.hpp"
 #include "gmd/memsim/sampled.hpp"
 
 namespace gmd::tracestore {
 class TraceStoreReader;
 }  // namespace gmd::tracestore
-
-namespace gmd::memsim {
-class PredecodedTrace;
-}  // namespace gmd::memsim
 
 namespace gmd::dse {
 
@@ -88,8 +84,8 @@ enum class FailurePolicy {
   /// sweeping; partial results survive a bad point.
   kSkip,
   /// Like kSkip, but transient failures (simulation/trace/io/
-  /// unspecified codes) are retried up to max_attempts with exponential
-  /// backoff.  Config errors, timeouts, and cancellations are not
+  /// unspecified codes) are retried, at once, up to max_attempts.
+  /// Config errors, timeouts, and cancellations are not
   /// retried: they are deterministic or already budget-bounded.
   kRetry,
 };
@@ -118,16 +114,11 @@ struct SweepOptions {
   std::size_t sampling_chunk_events = 10000;
 
   // --- fault tolerance -------------------------------------------------
+  /// Every point is validated before any simulation runs; config
+  /// errors are rejected (fail-fast) or recorded (skip/retry).
   FailurePolicy failure_policy = FailurePolicy::kFailFast;
-  /// Upfront validate() pass over all points; config errors are
-  /// rejected (fail-fast) or recorded (skip/retry) before any
-  /// simulation runs.
-  bool validate_points = true;
   /// Maximum simulation attempts per point under kRetry (>= 1).
   std::uint32_t max_attempts = 3;
-  /// Backoff before attempt k+1 is backoff * 2^(k-1); 0 disables
-  /// sleeping (attempts are still counted), keeping tests fast.
-  std::chrono::milliseconds retry_backoff{0};
   /// Per-point wall budget; a point still running past it is cancelled
   /// cooperatively (outcome kTimedOut).  0 = unlimited.
   std::chrono::milliseconds point_wall_budget{0};
@@ -142,8 +133,8 @@ struct SweepOptions {
   std::function<void(std::size_t, std::uint32_t)> fault_hook;
   /// Test hook: invoked once per pool task, on its worker thread and
   /// before the task builds its feed, with the task's point indices.  A
-  /// task of exhaustive points builds one predecoded stream (a hybrid
-  /// pair for hybrids), so the calls count the sweep's stream builds.
+  /// task of exhaustive points builds one Feed, so the calls count the
+  /// sweep's feed builds.
   std::function<void(std::span<const std::size_t>)> task_hook;
 
   // --- streaming -------------------------------------------------------
@@ -177,20 +168,55 @@ std::vector<SweepRow> run_sweep(std::span<const DesignPoint> points,
                                 std::span<const cpusim::MemoryEvent> trace,
                                 const SweepOptions& options = {});
 
-/// Store-fed sweep: replays a GMDT trace store without first
-/// materializing the whole event vector — each single-technology group
-/// task predecodes chunk-by-chunk straight off the shared mapping, and
-/// the raw event vector is decoded (in parallel, once) only when a
-/// hybrid group needs it.  Peak memory is then the mapping plus at most
-/// num_threads live group streams (plus the raw vector for hybrids),
-/// however many groups the point list spans.
+/// Store-fed sweep: replays a GMDT trace store without ever
+/// materializing the whole event vector — each group task builds its
+/// Feed (one stream, or a hybrid's two routed sides) chunk by chunk
+/// straight off the shared mapping, and a sampled point decodes one
+/// store chunk at a time.  Peak memory is then the mapping plus at most
+/// num_threads live feeds, however many groups the point list spans.
 /// Metrics are bit-identical to the span overload on the same events.
 std::vector<SweepRow> run_sweep(std::span<const DesignPoint> points,
                                 const tracestore::TraceStoreReader& store,
                                 const SweepOptions& options = {});
 
+/// The predecoded streams an exhaustive point replays: `single` for a
+/// single-technology point, or `dram` and `nvm`, the routed sides of
+/// memsim::predecode_hybrid, for a hybrid one; the other member(s) stay
+/// empty.  One feed serves every point with its `key` (see feed_key),
+/// whatever the point's clocks and timing.
+struct Feed {
+  std::string key;  ///< feed_key of the points this feed serves.
+  memsim::PredecodedTrace single;
+  memsim::PredecodedTrace dram;
+  memsim::PredecodedTrace nvm;
+};
+
+/// The clock-free key of the Feed an exhaustive `point` replays:
+/// memsim::PredecodedTrace::key of its single_config(), or
+/// memsim::hybrid_trace_key of its hybrid_config().  Points with equal
+/// keys share one feed, whatever their clocks and timing.
+std::string feed_key(const DesignPoint& point);
+
+/// True when `point` replays a Feed under `sample_fraction`; false when
+/// it samples raw trace chunks instead (a single-technology point below
+/// 1 — hybrid points are always exhaustive).
+bool replays_feed(const DesignPoint& point, double sample_fraction);
+
+/// Builds `point`'s Feed from a GMDT store, streaming chunk by chunk
+/// off the mapping without materializing the event vector.  The one
+/// store-to-feed path: the sweep's group tasks, simulate_point and the
+/// query service's trace library all build with it.
+Feed build_feed(const DesignPoint& point,
+                const tracestore::TraceStoreReader& store);
+
+/// The in-memory form of build_feed; the same feed for the same events.
+Feed build_feed(const DesignPoint& point,
+                std::span<const cpusim::MemoryEvent> trace);
+
 /// Options for one single-point simulation — the unit of work the DSE
-/// query service schedules.  The sampling fields mirror SweepOptions.
+/// query service schedules.  The sampling fields mirror SweepOptions;
+/// a store is always sampled on its own chunk index, so there is no
+/// window size.
 struct SimulateOptions {
   /// Fraction of trace chunks to simulate, in (0, 1].  Below 1 the
   /// result carries scaled estimates plus confidence intervals
@@ -199,25 +225,14 @@ struct SimulateOptions {
   double sample_fraction = 1.0;
   std::uint64_t sample_seed = 1;
   std::uint32_t sample_warmup_chunks = 1;
-  /// Identity-only for a store feed (the store's native chunk index is
-  /// sampled); window size for in-memory feeds.
-  std::size_t sampling_chunk_events = 10000;
   /// Cooperative cancellation / wall budget, polled inside the channel
   /// service loops.  Non-owning; may be null.
   Deadline* deadline = nullptr;
-
-  // --- warm feeds (optional) -------------------------------------------
-  /// A predecoded request stream already built for the point's
-  /// single_config() decode key (e.g. a service's shared handle); the
-  /// simulation replays it instead of predecoding the store again.
-  /// Ignored for hybrid and sampled points.
-  const memsim::PredecodedTrace* predecoded = nullptr;
-  /// A hybrid point's two predecoded sides, built by predecode_hybrid
-  /// for the point's hybrid_config() routing (e.g. a service's shared
-  /// handle).  Set both or neither; ignored for single-technology
-  /// points.  Non-owning; must outlive the call.
-  const memsim::PredecodedTrace* dram_side = nullptr;
-  const memsim::PredecodedTrace* nvm_side = nullptr;
+  /// A warm Feed (e.g. a service's shared handle) the point replays
+  /// instead of building its own from the store.  It must have been
+  /// built for the point's feed_key (Error(kConfig) otherwise); ignored
+  /// when the point samples chunks.  Non-owning; must outlive the call.
+  const Feed* feed = nullptr;
 };
 
 /// One point's simulation result: metrics, plus per-metric confidence
@@ -239,26 +254,6 @@ struct MetricsRow {
 MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
                           const DesignPoint& point,
                           const SimulateOptions& options = {});
-
-/// Predecodes a GMDT store's events for `config`, streaming chunk by
-/// chunk off the mapping without materializing the event vector.  The
-/// one store-to-predecoded path: the sweep's shared groups,
-/// simulate_point and the service's trace library all build with it.
-memsim::PredecodedTrace predecode(const memsim::MemoryConfig& config,
-                                  const tracestore::TraceStoreReader& store);
-
-/// The static-hybrid form of predecode(): routes and predecodes a GMDT
-/// store's events into memsim::predecode_hybrid's {DRAM, NVM} sides,
-/// streaming chunk by chunk off the mapping.
-std::pair<memsim::PredecodedTrace, memsim::PredecodedTrace> predecode_hybrid(
-    const memsim::HybridConfig& config,
-    const tracestore::TraceStoreReader& store);
-
-/// The clock-free key of the predecoded feed an exhaustive `point`
-/// replays: memsim::PredecodedTrace::key of its single_config(), or
-/// memsim::hybrid_trace_key of its hybrid_config().  Points with equal
-/// keys share one feed, whatever their clocks and timing.
-std::string feed_key(const DesignPoint& point);
 
 /// Simulates a single point over an in-memory trace (exhaustive,
 /// serial; same code path as above with a raw-span feed).

@@ -417,9 +417,9 @@ std::vector<SweepRow> supervise(const RunDir& run,
       if (!tracker.stale(name, options.lease_ttl)) continue;
       const ShardTask reissue{held->shard, held->generation + 1};
       GMD_REQUIRE_AS(ErrorCode::kSimulation,
-                     reissue.generation <= options.max_generations,
+                     reissue.generation <= kMaxShardGenerations,
                      "shard " << held->shard << " exceeded "
-                              << options.max_generations
+                              << kMaxShardGenerations
                               << " generations without completing");
       if (atomic_rename_claim(
               it->path().string(),
@@ -459,8 +459,8 @@ std::vector<SweepRow> supervise(const RunDir& run,
       if (covered[s] || claimable[s]) continue;
       const ShardTask task{s, top_generation[s] + 1};
       GMD_REQUIRE_AS(ErrorCode::kSimulation,
-                     task.generation <= options.max_generations,
-                     "shard " << s << " exceeded " << options.max_generations
+                     task.generation <= kMaxShardGenerations,
+                     "shard " << s << " exceeded " << kMaxShardGenerations
                               << " generations without completing");
       write_task_file(run.tasks_dir() + "/" + task_filename(task), task);
       top_generation[s] = task.generation;
@@ -549,7 +549,6 @@ std::vector<SweepRow> run_sweep_distributed(
   supervisor.shard_size = options.shard_size;
   supervisor.lease_ttl = options.lease_ttl;
   supervisor.poll_interval = options.poll_interval;
-  supervisor.max_generations = options.max_generations;
   supervisor.cancel = options.cancel;
   supervisor.tick = [&] {
     std::size_t live = 0;
@@ -570,7 +569,7 @@ std::vector<SweepRow> run_sweep_distributed(
                      << (reaped > 0 ? describe_exit(status) : "wait error")
                      << ")";
       }
-      if (options.respawn_dead_workers && respawned < options.max_respawns) {
+      if (options.respawn_dead_workers && respawned < kMaxRespawns) {
         // The replacement reuses the slot id, adopting the dead
         // worker's journal; the predecessor is reaped, so the
         // single-writer-per-journal rule holds.

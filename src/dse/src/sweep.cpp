@@ -7,7 +7,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -73,19 +73,11 @@ class TraceAccess {
                                                       span_chunk_events);
   }
 
-  /// Predecodes the whole trace for `config`.  Safe to call from pool
-  /// tasks.
-  memsim::PredecodedTrace predecode(const memsim::MemoryConfig& config) const {
-    return store_ != nullptr ? dse::predecode(config, *store_)
-                             : memsim::PredecodedTrace::build(config, events_);
-  }
-
-  /// Routes and predecodes the whole trace for a static hybrid.  Safe to
-  /// call from pool tasks.
-  std::pair<memsim::PredecodedTrace, memsim::PredecodedTrace>
-  predecode_hybrid(const memsim::HybridConfig& config) const {
-    return store_ != nullptr ? dse::predecode_hybrid(config, *store_)
-                             : memsim::predecode_hybrid(config, events_);
+  /// Builds `point`'s Feed over the whole trace.  Safe to call from
+  /// pool tasks.
+  Feed feed(const DesignPoint& point) const {
+    return store_ != nullptr ? build_feed(point, *store_)
+                             : build_feed(point, events_);
   }
 
  private:
@@ -94,30 +86,23 @@ class TraceAccess {
 };
 
 /// One pool task of a sweep.  A trace group's members (every exhaustive
-/// point sharing one clock-free decode geometry, e.g. every clock pair
-/// and NVM tRCD variant of a channel count) replay one predecoded
-/// stream, built when the task starts and dropped when it returns, so
-/// at most one stream per pool thread is ever live.  A large group is
-/// split into several such tasks (see run_sweep_impl).  A sampled
-/// single-technology point replays raw chunks and is a task of its own.
+/// point sharing one feed_key, e.g. every clock pair and NVM tRCD
+/// variant of a channel count) replay one Feed, built from the first
+/// member when the task starts and dropped when it returns, so at most
+/// one feed per pool thread is ever live.  A large group is split into
+/// several such tasks (see run_sweep_impl).  A sampled single-
+/// technology point replays raw chunks and is a task of its own.
 struct SweepTask {
-  enum class Feed { kChunked, kPredecoded, kHybrid };
-  Feed feed = Feed::kPredecoded;
-  memsim::MemoryConfig single;  ///< Decode geometry of a kPredecoded group.
-  memsim::HybridConfig hybrid;  ///< Decode and routing of a kHybrid group.
   std::vector<std::size_t> members;  ///< Point indices, in point order.
   std::uint64_t cost = 0;            ///< Summed point_cost of the members.
 };
 
-/// The trace feed one point simulation consumes.  Exactly one source is
-/// set per mode: `chunked` for sampled single-technology points,
-/// `predecoded` (or `raw`) for exhaustive single-technology points,
-/// `dram_side`+`nvm_side` (or `raw`) for hybrid points.
+/// The trace source one point simulation consumes: `chunked` for a
+/// point that samples chunks, else `feed`, or the `raw` events (the
+/// undecoded reference path) when no feed is set.
 struct PointFeed {
   std::span<const cpusim::MemoryEvent> raw;
-  const memsim::PredecodedTrace* predecoded = nullptr;
-  const memsim::PredecodedTrace* dram_side = nullptr;
-  const memsim::PredecodedTrace* nvm_side = nullptr;
+  const Feed* feed = nullptr;
   memsim::ChunkedTrace* chunked = nullptr;
 };
 
@@ -127,8 +112,7 @@ struct PointFeed {
 void simulate_point_into(const DesignPoint& point,
                          const SimulateOptions& options, const PointFeed& feed,
                          MetricsRow& row) {
-  const bool sampling = options.sample_fraction < 1.0;
-  if (sampling && point.kind != MemoryKind::kHybrid) {
+  if (!replays_feed(point, options.sample_fraction)) {
     GMD_ASSERT(feed.chunked != nullptr, "sampled point needs a chunk feed");
     memsim::MemoryConfig config = point.single_config();
     config.sim.deadline = options.deadline;
@@ -146,20 +130,21 @@ void simulate_point_into(const DesignPoint& point,
     memsim::HybridConfig config = point.hybrid_config();
     config.dram.sim.deadline = options.deadline;
     config.nvm.sim.deadline = options.deadline;
-    row.metrics = feed.dram_side != nullptr
-                      ? memsim::HybridMemory::simulate(config, *feed.dram_side,
-                                                       *feed.nvm_side)
+    row.metrics = feed.feed != nullptr
+                      ? memsim::HybridMemory::simulate(config, feed.feed->dram,
+                                                       feed.feed->nvm)
                       : memsim::HybridMemory::simulate(config, feed.raw);
   } else {
     memsim::MemoryConfig config = point.single_config();
     config.sim.deadline = options.deadline;
-    row.metrics = feed.predecoded != nullptr
-                      ? memsim::MemorySystem::simulate(config, *feed.predecoded)
-                      : memsim::MemorySystem::simulate(config, feed.raw);
+    row.metrics =
+        feed.feed != nullptr
+            ? memsim::MemorySystem::simulate(config, feed.feed->single)
+            : memsim::MemorySystem::simulate(config, feed.raw);
   }
   // A sampled sweep's exhaustive rows (hybrids) carry point intervals
   // so every row of the sweep reports in the same shape.
-  if (sampling) {
+  if (options.sample_fraction < 1.0) {
     const std::vector<double> values = row.metrics.metric_values();
     row.metric_ci.resize(values.size());
     for (std::size_t m = 0; m < values.size(); ++m) {
@@ -231,35 +216,67 @@ memsim::MemoryMetrics simulate_point(
   return row.metrics;
 }
 
-memsim::PredecodedTrace predecode(const memsim::MemoryConfig& config,
-                                  const tracestore::TraceStoreReader& store) {
-  tracestore::ChunkIterator it(store);
-  return memsim::PredecodedTrace::build(
-      config,
-      [&it]() -> std::span<const cpusim::MemoryEvent> {
-        return it.next() ? it.events()
-                         : std::span<const cpusim::MemoryEvent>{};
-      },
-      static_cast<std::size_t>(store.num_events()));
-}
-
-std::pair<memsim::PredecodedTrace, memsim::PredecodedTrace> predecode_hybrid(
-    const memsim::HybridConfig& config,
-    const tracestore::TraceStoreReader& store) {
-  return memsim::predecode_hybrid(config, [&store] {
-    return memsim::PredecodedTrace::EventChunkSource(
-        [it = tracestore::ChunkIterator(store)]() mutable
-            -> std::span<const cpusim::MemoryEvent> {
-          return it.next() ? it.events()
-                           : std::span<const cpusim::MemoryEvent>{};
-        });
-  });
-}
-
 std::string feed_key(const DesignPoint& point) {
   return point.kind == MemoryKind::kHybrid
              ? memsim::hybrid_trace_key(point.hybrid_config())
              : memsim::PredecodedTrace::key(point.single_config());
+}
+
+bool replays_feed(const DesignPoint& point, double sample_fraction) {
+  return sample_fraction >= 1.0 || point.kind == MemoryKind::kHybrid;
+}
+
+namespace {
+
+/// The one feed builder behind both public overloads: `open` starts a
+/// fresh pass over the trace's chunks (a hybrid takes two: one counts
+/// each side, one routes and decodes), and `events` sizes a single
+/// stream.
+Feed build_feed(
+    const DesignPoint& point,
+    const std::function<memsim::PredecodedTrace::EventChunkSource()>& open,
+    std::size_t events) {
+  Feed feed;
+  feed.key = feed_key(point);
+  if (point.kind == MemoryKind::kHybrid) {
+    std::tie(feed.dram, feed.nvm) =
+        memsim::predecode_hybrid(point.hybrid_config(), open);
+  } else {
+    feed.single =
+        memsim::PredecodedTrace::build(point.single_config(), open(), events);
+  }
+  return feed;
+}
+
+}  // namespace
+
+Feed build_feed(const DesignPoint& point,
+                const tracestore::TraceStoreReader& store) {
+  return build_feed(
+      point,
+      [&store] {
+        return memsim::PredecodedTrace::EventChunkSource(
+            [it = tracestore::ChunkIterator(store)]() mutable
+                -> std::span<const cpusim::MemoryEvent> {
+              return it.next() ? it.events()
+                               : std::span<const cpusim::MemoryEvent>{};
+            });
+      },
+      static_cast<std::size_t>(store.num_events()));
+}
+
+Feed build_feed(const DesignPoint& point,
+                std::span<const cpusim::MemoryEvent> trace) {
+  return build_feed(
+      point,
+      [trace] {
+        return memsim::PredecodedTrace::EventChunkSource(
+            [chunk = trace]() mutable {
+              return std::exchange(chunk,
+                                   std::span<const cpusim::MemoryEvent>{});
+            });
+      },
+      trace.size());
 }
 
 MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
@@ -268,41 +285,27 @@ MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
   GMD_REQUIRE(options.sample_fraction > 0.0 && options.sample_fraction <= 1.0,
               "sample_fraction must be in (0, 1], got "
                   << options.sample_fraction);
-  GMD_REQUIRE(options.sampling_chunk_events > 0,
-              "sampling_chunk_events must be positive");
   validate(point);
 
-  const bool sampling =
-      options.sample_fraction < 1.0 && point.kind != MemoryKind::kHybrid;
+  // A sampled point samples the GMDT native chunk index, exactly like a
+  // sampled sweep over the same store; any other point replays a Feed,
+  // built here off the shared mapping unless the caller brings one.
   PointFeed feed;
-  std::unique_ptr<memsim::ChunkedTrace> chunked;
-  memsim::PredecodedTrace local;
-  std::pair<memsim::PredecodedTrace, memsim::PredecodedTrace> sides;
-  if (sampling) {
-    // A store feed samples the GMDT native chunk index, exactly like a
-    // sampled sweep over the same store.
-    chunked = std::make_unique<StoreChunkedTrace>(store);
-    feed.chunked = chunked.get();
-  } else if (point.kind == MemoryKind::kHybrid) {
-    if (options.dram_side == nullptr) {
-      // Stream-route and predecode off the shared mapping — the sweep's
-      // hybrid group path.
-      sides = predecode_hybrid(point.hybrid_config(), store);
-      feed.dram_side = &sides.first;
-      feed.nvm_side = &sides.second;
-    } else {
-      GMD_REQUIRE(options.nvm_side != nullptr,
-                  "a warm hybrid feed needs both predecoded sides");
-      feed.dram_side = options.dram_side;
-      feed.nvm_side = options.nvm_side;
-    }
-  } else if (options.predecoded != nullptr) {
-    feed.predecoded = options.predecoded;
+  StoreChunkedTrace chunked(store);
+  Feed local;
+  if (!replays_feed(point, options.sample_fraction)) {
+    feed.chunked = &chunked;
+  } else if (options.feed != nullptr) {
+    const std::string key = feed_key(point);
+    GMD_REQUIRE_AS(ErrorCode::kConfig, options.feed->key == key,
+                   "a feed built for '" << options.feed->key
+                                        << "' cannot replay point "
+                                        << point.id() << " ('" << key
+                                        << "')");
+    feed.feed = options.feed;
   } else {
-    // Stream-predecode off the shared mapping — the sweep's grouped
-    // path, without materializing the raw event vector.
-    local = predecode(point.single_config(), store);
-    feed.predecoded = &local;
+    local = build_feed(point, store);
+    feed.feed = &local;
   }
 
   MetricsRow row;
@@ -378,23 +381,21 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
   // Upfront validation: a misconfigured point must never cost
   // simulation time (and under fail-fast must abort before any point
   // runs).
-  if (options.validate_points) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      try {
-        validate(points[i]);
-      } catch (const Error& e) {
-        if (fail_fast) throw;
-        rows[i].point = points[i];
-        rows[i].outcome = PointOutcome::kFailed;
-        rows[i].error_code = ErrorCode::kConfig;
-        rows[i].error = e.what();
-        rows[i].attempts = 0;
-        settled[i] = 1;
-        // A validation reject is a terminal row: the sink must see it,
-        // or a distributed shard holding an invalid point would count
-        // as never-run and be re-issued forever.
-        if (options.row_sink) options.row_sink(i, rows[i]);
-      }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    try {
+      validate(points[i]);
+    } catch (const Error& e) {
+      if (fail_fast) throw;
+      rows[i].point = points[i];
+      rows[i].outcome = PointOutcome::kFailed;
+      rows[i].error_code = ErrorCode::kConfig;
+      rows[i].error = e.what();
+      rows[i].attempts = 0;
+      settled[i] = 1;
+      // A validation reject is a terminal row: the sink must see it, or
+      // a distributed shard holding an invalid point would count as
+      // never-run and be re-issued forever.
+      if (options.row_sink) options.row_sink(i, rows[i]);
     }
   }
 
@@ -442,12 +443,12 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
 
   ThreadPool pool(options.num_threads);
 
-  // Group points by clock-free decode geometry.  Decode (and, for the
-  // static hybrids DesignPoint builds, routing) depends only on the
-  // mapping geometry, so all members of a group — every clock pair and
-  // NVM tRCD variant of a channel count — replay one shared predecoded
-  // request stream; replay stamps cycles under each member's clocks.
-  // Every exhaustive point joins a group.
+  // Group points by feed_key.  Decode (and, for the static hybrids
+  // DesignPoint builds, routing) depends only on the mapping geometry,
+  // so all members of a group — every clock pair and NVM tRCD variant
+  // of a channel count — replay one shared Feed; replay stamps cycles
+  // under each member's clocks.  Every point that replays a feed joins
+  // a group.
   std::vector<SweepTask> groups;
   std::unordered_map<std::string, std::size_t> group_of_key;
   std::vector<SweepTask> tasks;
@@ -456,26 +457,15 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     if (settled[i]) continue;  // nothing left to simulate
     ++unsettled;
     // Sampled single-technology points replay raw event chunks, not a
-    // predecoded whole-trace stream — a shared predecode would be
-    // wasted work for them.
-    if (sampling && points[i].kind != MemoryKind::kHybrid) {
-      SweepTask& task = tasks.emplace_back();
-      task.feed = SweepTask::Feed::kChunked;
-      task.members.push_back(i);
-      task.cost = point_cost(points[i]);
+    // whole-trace feed — a shared predecode would be wasted work for
+    // them.
+    if (!replays_feed(points[i], options.sample_fraction)) {
+      tasks.push_back({{i}, point_cost(points[i])});
       continue;
     }
     const auto [it, inserted] =
         group_of_key.emplace(feed_key(points[i]), groups.size());
-    if (inserted) {
-      SweepTask& group = groups.emplace_back();
-      if (points[i].kind == MemoryKind::kHybrid) {
-        group.feed = SweepTask::Feed::kHybrid;
-        group.hybrid = points[i].hybrid_config();
-      } else {
-        group.single = points[i].single_config();
-      }
-    }
+    if (inserted) groups.emplace_back();
     SweepTask& group = groups[it->second];
     group.members.push_back(i);
     group.cost += point_cost(points[i]);
@@ -528,9 +518,6 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     const std::uint64_t member_cost = group.cost / group.members.size();
     for (std::size_t p = 0; p < pieces[g]; ++p) {
       SweepTask& piece = tasks.emplace_back();
-      piece.feed = group.feed;
-      piece.single = group.single;
-      piece.hybrid = group.hybrid;
       for (std::size_t k = p; k < group.members.size(); k += pieces[g]) {
         piece.members.push_back(group.members[k]);
       }
@@ -562,7 +549,6 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     sopt.sample_fraction = options.sample_fraction;
     sopt.sample_seed = options.sample_seed;
     sopt.sample_warmup_chunks = options.sample_warmup_chunks;
-    sopt.sampling_chunk_events = options.sampling_chunk_events;
     sopt.deadline = deadline;
 
     MetricsRow result;
@@ -630,37 +616,27 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
         }
         return;
       }
-      if (options.retry_backoff.count() > 0) {
-        std::this_thread::sleep_for(options.retry_backoff * (1u << (attempt - 1)));
-      }
     }
   };
 
-  // One task's run: build its feed, replay its members in point order,
-  // drop the feed.  The stream is built outside execute()'s per-point
-  // try/catch, so a trace that cannot be predecoded fails the whole
-  // sweep under every policy instead of turning into failed rows.
+  // One task's run: build its feed (members share a feed_key, so the
+  // first member's is every member's), replay its members in point
+  // order, drop the feed.  The feed is built outside execute()'s
+  // per-point try/catch, so a trace that cannot be predecoded fails the
+  // whole sweep under every policy instead of turning into failed rows.
   std::atomic<std::size_t> done{0};
   const auto run_task = [&](const SweepTask& task) {
     if (options.task_hook) options.task_hook(task.members);
+    const DesignPoint& first = points[task.members.front()];
     PointFeed feed;
-    memsim::PredecodedTrace trace;
-    std::pair<memsim::PredecodedTrace, memsim::PredecodedTrace> sides;
+    Feed built;
     std::unique_ptr<memsim::ChunkedTrace> chunked;
-    switch (task.feed) {
-      case SweepTask::Feed::kChunked:
-        chunked = access.chunked(options.sampling_chunk_events);
-        feed.chunked = chunked.get();
-        break;
-      case SweepTask::Feed::kPredecoded:
-        trace = access.predecode(task.single);
-        feed.predecoded = &trace;
-        break;
-      case SweepTask::Feed::kHybrid:
-        sides = access.predecode_hybrid(task.hybrid);
-        feed.dram_side = &sides.first;
-        feed.nvm_side = &sides.second;
-        break;
+    if (!replays_feed(first, options.sample_fraction)) {
+      chunked = access.chunked(options.sampling_chunk_events);
+      feed.chunked = chunked.get();
+    } else {
+      built = access.feed(first);
+      feed.feed = &built;
     }
     for (const std::size_t i : task.members) {
       execute(i, feed);

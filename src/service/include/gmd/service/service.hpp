@@ -12,6 +12,8 @@
 ///
 ///   {"verb":"simulate","id":1,"trace":"bfs","points":[{...}],
 ///    "sampling":{"fraction":0.25,"seed":7},"deadline_ms":5000}
+///   ("sampling" also takes "warmup_chunks"; a store is sampled on its
+///   own chunk index, so a "chunk_events" key is ignored)
 ///   {"verb":"predict","id":2,"model":"bw","points":[{...},{...}]}
 ///   {"verb":"recommend","id":3,"metric":"bandwidth_mbs","model":"bw"}
 ///   {"verb":"register_trace","alias":"bfs","path":"t.gmdt"}

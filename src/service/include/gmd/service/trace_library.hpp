@@ -6,13 +6,12 @@
 /// shares the mapping) and handed out as a shared reader keyed by alias
 /// or content checksum, under the quarantine protocol of Registry (a
 /// probe re-opens the store and verifies every chunk).  The expensive
-/// derived feed — a point's predecoded request stream, or a static
-/// hybrid's two predecoded sides — is built once per (store content,
-/// clock-free geometry) on first use and shared by every concurrent
-/// request (build-once via shared_future, so two requests racing on a
-/// cold feed block on one build instead of running two).  The paper
-/// grid reaches four geometries: two channel counts, single-technology
-/// and hybrid.
+/// derived state — a point's dse::Feed, built by dse::build_feed — is
+/// built once per (store content, dse::feed_key) on first use and shared
+/// by every concurrent request (build-once via shared_future, so two
+/// requests racing on a cold feed block on one build instead of running
+/// two).  The paper grid reaches four feed keys: two channel counts,
+/// single-technology and hybrid.
 
 #include <cstdint>
 #include <future>
@@ -22,7 +21,7 @@
 #include <string>
 
 #include "gmd/dse/design_point.hpp"
-#include "gmd/memsim/predecoded_trace.hpp"
+#include "gmd/dse/sweep.hpp"
 #include "gmd/service/registry.hpp"
 #include "gmd/tracestore/reader.hpp"
 
@@ -57,25 +56,16 @@ class TraceLibrary : private Registry<tracestore::TraceStoreReader> {
   using Registry::set_probe_interval;
   using Registry::size;
 
-  /// The predecoded streams an exhaustive point replays: `single` for a
-  /// single-technology point, or `dram` and `nvm`, the sides of
-  /// dse::predecode_hybrid, for a hybrid one.  The other member(s) stay
-  /// empty.
-  struct Feed {
-    memsim::PredecodedTrace single;
-    memsim::PredecodedTrace dram;
-    memsim::PredecodedTrace nvm;
-  };
-  /// `point`'s feed, built once per (store content, dse::feed_key) and
-  /// shared by every point of that geometry, whatever its clocks.
-  std::shared_ptr<const Feed> feed(const tracestore::TraceStoreReader& store,
-                                   const dse::DesignPoint& point);
+  /// `point`'s dse::Feed, built once per (store content, dse::feed_key)
+  /// and shared by every point of that key, whatever its clocks.
+  std::shared_ptr<const dse::Feed> feed(
+      const tracestore::TraceStoreReader& store, const dse::DesignPoint& point);
 
   /// Cached feeds: one per (store content, geometry) a request reached.
   std::size_t cached_feeds() const;
 
  private:
-  using FeedFuture = std::shared_future<std::shared_ptr<const Feed>>;
+  using FeedFuture = std::shared_future<std::shared_ptr<const dse::Feed>>;
 
   /// The first alias serving content `checksum`, or empty.
   std::string serving_alias_locked(std::uint64_t checksum) const;

@@ -24,7 +24,6 @@ std::uint64_t simulate_cache_key(std::uint64_t trace_checksum,
     h.mix_double(options.sample_fraction);
     h.mix(options.sample_seed);
     h.mix(options.sample_warmup_chunks);
-    h.mix(static_cast<std::uint64_t>(options.sampling_chunk_events));
   }
   return h.state;
 }

@@ -300,8 +300,6 @@ Json Service::run_simulate(const Request& request, Deadline* deadline) {
     sim.sample_seed =
         static_cast<std::uint64_t>(sampling.number_or("seed", 1));
     sim.sample_warmup_chunks = parse_u32(sampling, "warmup_chunks", 1);
-    sim.sampling_chunk_events =
-        static_cast<std::size_t>(sampling.number_or("chunk_events", 10000));
   }
 
   const Json& points_json = request.body.at("points");
@@ -326,24 +324,18 @@ Json Service::run_simulate(const Request& request, Deadline* deadline) {
     for (const dse::DesignPoint& point : points) {
       if (deadline != nullptr) deadline->check_now();
       const std::uint64_t key = simulate_cache_key(checksum, point, sim);
-      ResultCache::Row row = cache_.get(key);
+      std::shared_ptr<const dse::MetricsRow> row =
+          cache_.get(key).value_or(nullptr);
       const bool cached = row != nullptr;
       if (!cached) {
         dse::SimulateOptions options = sim;
-        // Warm feeds: exhaustive points replay their geometry's shared
-        // predecoded stream (hybrids: its two sides; hybrids are always
-        // exhaustive).  Sampled points stream the store's own chunks.
-        std::shared_ptr<const TraceLibrary::Feed> feed;
-        const bool hybrid = point.kind == dse::MemoryKind::kHybrid;
-        if (hybrid || options.sample_fraction >= 1.0) {
+        // A point that replays a feed replays the one cached for its
+        // feed key; a sampled point streams the store's own chunks.
+        std::shared_ptr<const dse::Feed> feed;
+        if (dse::replays_feed(point, options.sample_fraction)) {
           dse::validate(point);  // Before spending a predecode on it.
           feed = traces_.feed(*store, point);
-          if (hybrid) {
-            options.dram_side = &feed->dram;
-            options.nvm_side = &feed->nvm;
-          } else {
-            options.predecoded = &feed->single;
-          }
+          options.feed = feed.get();
         }
         row = std::make_shared<const dse::MetricsRow>(
             dse::simulate_point(*store, point, options));

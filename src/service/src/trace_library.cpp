@@ -1,6 +1,5 @@
 #include "gmd/service/trace_library.hpp"
 
-#include <tuple>
 #include <utility>
 
 #include "gmd/common/error.hpp"
@@ -134,19 +133,12 @@ std::string TraceLibrary::alias_for_locked(const std::string& name) const {
   return name;
 }
 
-std::shared_ptr<const TraceLibrary::Feed> TraceLibrary::feed(
+std::shared_ptr<const dse::Feed> TraceLibrary::feed(
     const tracestore::TraceStoreReader& store, const dse::DesignPoint& point) {
   const std::pair<std::uint64_t, std::string> key{store.content_checksum(),
                                                   dse::feed_key(point)};
   return build_once(mutex_, feeds_, key, [&store, &point] {
-    auto feed = std::make_shared<Feed>();
-    if (point.kind == dse::MemoryKind::kHybrid) {
-      std::tie(feed->dram, feed->nvm) =
-          dse::predecode_hybrid(point.hybrid_config(), store);
-    } else {
-      feed->single = dse::predecode(point.single_config(), store);
-    }
-    return std::shared_ptr<const Feed>(std::move(feed));
+    return std::make_shared<const dse::Feed>(dse::build_feed(point, store));
   });
 }
 

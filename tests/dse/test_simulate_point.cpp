@@ -93,8 +93,8 @@ TEST_F(SimulatePointStore, BitIdenticalToSweepRows) {
   }
 }
 
-// A warm predecoded feed (the service's shared handle) must not change
-// a single bit versus the cold store path.
+// A warm feed (the service's shared handle) must not change a single
+// bit versus the cold store path.
 TEST_F(SimulatePointStore, WarmPredecodedFeedIsIdentical) {
   DesignPoint point;
   point.kind = MemoryKind::kNvm;
@@ -106,22 +106,20 @@ TEST_F(SimulatePointStore, WarmPredecodedFeedIsIdentical) {
   const MetricsRow cold = simulate_point(*store_, point);
 
   const auto events = store_->read_all();
-  const memsim::PredecodedTrace predecoded =
-      memsim::PredecodedTrace::build(point.single_config(), events);
+  const Feed predecoded = build_feed(point, events);
   SimulateOptions warm;
-  warm.predecoded = &predecoded;
+  warm.feed = &predecoded;
   expect_metrics_identical(simulate_point(*store_, point, warm).metrics,
                            cold.metrics);
 
-  // A stream is clock-free: one built under other clocks replays the
+  // A feed is clock-free: one built under other clocks replays the
   // point identically.
   DesignPoint other_clocks = point;
   other_clocks.cpu_freq_mhz = 6500;
   other_clocks.ctrl_freq_mhz = 1600;
-  const memsim::PredecodedTrace shared =
-      memsim::PredecodedTrace::build(other_clocks.single_config(), events);
+  const Feed shared = build_feed(other_clocks, events);
   SimulateOptions reused;
-  reused.predecoded = &shared;
+  reused.feed = &shared;
   expect_metrics_identical(simulate_point(*store_, point, reused).metrics,
                            cold.metrics);
 }
@@ -143,11 +141,9 @@ TEST_F(SimulatePointStore, HybridMatchesSweep) {
   expect_metrics_identical(cold.metrics, rows[0].metrics);
 
   const auto events = store_->read_all();
-  const auto [dram_side, nvm_side] =
-      memsim::predecode_hybrid(point.hybrid_config(), events);
+  const Feed sides = build_feed(point, events);
   SimulateOptions warm;
-  warm.dram_side = &dram_side;
-  warm.nvm_side = &nvm_side;
+  warm.feed = &sides;
   expect_metrics_identical(simulate_point(*store_, point, warm).metrics,
                            rows[0].metrics);
   expect_metrics_identical(simulate_point(point, events), rows[0].metrics);
@@ -192,6 +188,45 @@ TEST_F(SimulatePointStore, ValidatesPointAndOptions) {
   SimulateOptions bad_fraction;
   bad_fraction.sample_fraction = 0.0;
   EXPECT_THROW(simulate_point(*store_, ok, bad_fraction), Error);
+}
+
+// A warm feed built for another feed key is refused, never replayed:
+// its streams were decoded (or routed) for a different geometry.
+TEST_F(SimulatePointStore, RefusesAFeedForAnotherGeometry) {
+  DesignPoint dram;
+  dram.kind = MemoryKind::kDram;
+  dram.channels = 2;
+  DesignPoint dram4 = dram;
+  dram4.channels = 4;
+  DesignPoint hybrid;
+  hybrid.kind = MemoryKind::kHybrid;
+  hybrid.channels = 2;
+  DesignPoint rerouted = hybrid;
+  rerouted.dram_fraction = 0.25;  // the default routes half to DRAM
+
+  const Feed two_channels = build_feed(dram, *store_);
+  const Feed hybrid_sides = build_feed(hybrid, *store_);
+  const auto refused = [&](const DesignPoint& point, const Feed& feed) {
+    SCOPED_TRACE(point.id() + " on feed " + feed.key);
+    SimulateOptions options;
+    options.feed = &feed;
+    try {
+      (void)simulate_point(*store_, point, options);
+      ADD_FAILURE() << "expected the feed to be refused";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kConfig);
+    }
+  };
+  refused(dram4, two_channels);    // 2-channel feed, 4-channel point
+  refused(hybrid, two_channels);   // single-technology feed, hybrid point
+  refused(dram, hybrid_sides);     // hybrid feed, DRAM point
+  refused(rerouted, hybrid_sides);  // same sides' geometry, other routing
+
+  // The matching feed still replays.
+  SimulateOptions options;
+  options.feed = &hybrid_sides;
+  expect_metrics_identical(simulate_point(*store_, hybrid, options).metrics,
+                           simulate_point(*store_, hybrid).metrics);
 }
 
 TEST_F(SimulatePointStore, HonorsCancellation) {

@@ -144,17 +144,18 @@ echo "== bounded-memory sweep =="
 # with the four clock-free geometries of the paper grid (each split into
 # per-thread pieces).  Building one stream per (geometry, clock pair)
 # and keeping all of them for the whole sweep peaked near 290 MB here;
-# the bound fails that.  The arithmetic: 4 threads peak near 29 MB, and
-# each further pool thread adds one live stream of about 5 MB (71,630
-# requests at 60 B, plus its arena), so 16 hardware threads reach
-# 29 + 12 * 5 = 89 MB (measured: 86 MB), rounded up to the bound.
+# the bound fails that.  The arithmetic: 4 threads peak near 14 MB, and
+# each further pool thread adds one live stream of about 1 MB (71,630
+# requests at 16 B, plus its arena), so 16 hardware threads reach
+# 14 + 12 * 1 = 26 MB (measured: 25-26 MB), with room left for allocator
+# arenas.  The 60 B record this replaced fails it from 8 threads (49 MB).
 python3 - "$GMD" sweep --vertices 1024 \
   --space paper --csv "$SMOKE_DIR/bounded-sweep.csv" <<'PY'
 import resource
 import subprocess
 import sys
 
-LIMIT_MB = 90
+LIMIT_MB = 40
 subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 print(f"1024-vertex paper-grid sweep peaked at {peak_mb:.0f} MB "

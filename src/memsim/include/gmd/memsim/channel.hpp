@@ -13,26 +13,17 @@
 
 namespace gmd::memsim {
 
-/// One memory transaction as seen by a channel.  Times are in
-/// memory-controller cycles.
+/// One memory transaction as offered to Channel::enqueue: input fields
+/// only.  Times are in memory-controller cycles.  The channel keeps what
+/// it derives while servicing (issue and completion cycles) in locals of
+/// its timing algebra and folds it straight into ChannelStats.
 struct Request {
   std::uint64_t arrival = 0;  ///< Enqueue cycle at the controller.
   std::uint32_t rank = 0;
   std::uint32_t bank = 0;
   std::uint32_t row = 0;
-  std::uint32_t column = 0;
+  std::uint32_t column = 0;  ///< No timing rule reads it.
   bool is_write = false;
-
-  // Filled by the channel when serviced.
-  std::uint64_t service_start = 0;  ///< First command issue cycle.
-  std::uint64_t completion = 0;     ///< Data burst completion cycle.
-
-  /// Service latency: controller-initiated to completed (paper's
-  /// "average latency").
-  std::uint64_t service_latency() const { return completion - service_start; }
-  /// Queue + service: request arrival to completion (paper's "total
-  /// latency").
-  std::uint64_t total_latency() const { return completion - arrival; }
 };
 
 /// Aggregated per-channel counters after a simulation run.
@@ -81,11 +72,14 @@ struct ChannelStats {
 ///    entries, writes, open-row hits, per-bank membership), one bit per
 ///    slot.  Slots fill left to right, so bit position is enqueue
 ///    (= arrival) order and each pick is a count-trailing-zeros over an
-///    AND of masks instead of an O(queue_depth) scan;
+///    AND of masks instead of an O(queue_depth) scan.  The window is
+///    structure-of-arrays: per slot only the arrival cycle, row and flat
+///    bank are stored (the write bit lives in the write mask), so an
+///    insert or a compaction moves 16 B per slot;
 ///  - the reference path (MemSimOptions::reference_mode): the original
-///    vector scan + erase, kept so the equivalence suite can prove the
-///    fast path bit-identical.  Queue depths beyond the fast window
-///    also run here.
+///    vector scan + erase over Requests, kept so the equivalence suite
+///    can prove the fast path bit-identical.  Queue depths beyond the
+///    fast window also run here.
 class Channel {
  public:
   /// \param config  Memory configuration (geometry/timing/policy);
@@ -99,14 +93,14 @@ class Channel {
   /// which keeps queuing delays bounded by the queue depth.
   void enqueue(const Request& request);
 
-  /// enqueue() minus the rank/bank range check, for callers that
-  /// guarantee the ranges up front (a predecoded trace's decoder
-  /// establishes them once at build time).  The request arrives at
-  /// `arrival`, whatever its own arrival field holds, so a predecoded
-  /// request needs no stamped copy.  Arrival order is still checked: a
+  /// enqueue() from fields, minus the rank/bank range check, for
+  /// callers that guarantee the range up front (a predecoded trace's
+  /// decoder establishes it once at build time).  `bank` is the flat
+  /// index rank * banks + bank.  Arrival order is still checked: a
   /// predecoded stream's cycles are stamped at replay, so its order is
   /// only known then.
-  void enqueue_trusted(const Request& request, std::uint64_t arrival);
+  void enqueue_trusted(std::uint32_t bank, std::uint32_t row,
+                       bool is_write, std::uint64_t arrival);
 
   /// Services every queued transaction.
   void drain();
@@ -131,10 +125,12 @@ class Channel {
 
  private:
   /// Applies the timing algebra and statistics for one request; shared
-  /// by the reference and fast paths.  `b` must be flat_bank(request)
+  /// by the reference and fast paths.  `b` is the request's flat bank
   /// and `row_hit` whether the bank's open row matches — both callers
   /// already have them.  Returns the completion cycle.
-  std::uint64_t service_request(Request request, std::size_t b, bool row_hit);
+  std::uint64_t service_request(std::uint64_t arrival, std::uint32_t b,
+                                std::uint32_t row, bool is_write,
+                                bool row_hit);
   /// Pushes `cycle` past any refresh window it falls into.  Caches the
   /// containing window so the common case (consecutive requests in the
   /// same window) costs two compares instead of a division.
@@ -144,9 +140,8 @@ class Channel {
   std::uint64_t constrain_and_record_activate(std::uint32_t rank,
                                               std::uint64_t cycle);
 
-  std::size_t flat_bank(const Request& request) const {
-    return static_cast<std::size_t>(request.rank) * config_.banks +
-           request.bank;
+  std::uint32_t flat_bank(const Request& request) const {
+    return request.rank * config_.banks + request.bank;
   }
 
   // Reference path ----------------------------------------------------
@@ -166,7 +161,8 @@ class Channel {
   static constexpr std::uint32_t kMaxFastDepth = 48;
 
   /// Places one admitted request into the window and the masks.
-  void fast_insert(const Request& pending);
+  void fast_insert(std::uint32_t b, std::uint32_t row, bool is_write,
+                   std::uint64_t arrival);
   /// Moves the live slots back to the front of the window, preserving
   /// order; runs when an insert reaches the window edge.
   void compact_window();
@@ -178,6 +174,7 @@ class Channel {
   MemoryConfig config_;
   std::uint64_t access_bytes_;          // config_.access_bytes(), hoisted
   std::vector<BankState> banks_;        // ranks * banks, rank-major
+  std::vector<std::uint32_t> bank_rank_;  // flat bank -> rank
   std::vector<RankState> ranks_;        // activation-rate tracking
   std::uint64_t now_ = 0;               // controller command clock
   std::uint64_t bus_free_ = 0;          // data bus availability
@@ -201,8 +198,10 @@ class Channel {
   std::uint32_t arrived_ = 0;     // cached arrival<=horizon boundary
   std::uint32_t queued_reads_ = 0;
   std::uint32_t queued_writes_ = 0;
-  std::array<Request, kWindow> window_{};
-  std::array<std::uint32_t, kWindow> slot_bank_{};  // flat bank per slot
+  // The window, one entry per slot.
+  std::array<std::uint64_t, kWindow> slot_arrival_{};
+  std::array<std::uint32_t, kWindow> slot_row_{};
+  std::array<std::uint32_t, kWindow> slot_bank_{};  // flat bank
   std::vector<std::uint64_t> bank_mask_;  // per flat bank: live members
 };
 

@@ -31,13 +31,6 @@ class MemorySystem {
   /// the memory clock.  Accesses wider than one memory word are split.
   void enqueue_event(const cpusim::MemoryEvent& event);
 
-  /// Feeds an already split/decoded request stream, stamping each
-  /// request's tick to a controller cycle under this config's clocks.
-  /// The trace's decode key must match this system's config
-  /// (GMD_REQUIRE'd); produces results identical to replaying the raw
-  /// events.
-  void enqueue_predecoded(const PredecodedTrace& trace);
-
   /// Ends the warmup phase of a measured window (the sampled-simulation
   /// path): snapshots per-channel counter baselines at the serviced
   /// frontier and clears endurance tracking.  finish() then reports
@@ -63,7 +56,10 @@ class MemorySystem {
 
   /// One-shot fast path over a shared predecoded trace — the sweep's
   /// hot loop, which skips per-config word splitting and address
-  /// decoding entirely.
+  /// decoding entirely.  The trace's decode key must match `config`
+  /// (GMD_REQUIRE'd).  Replays into a fresh system, and reports the
+  /// endurance the trace counted at build; results are identical to
+  /// simulating the raw events.
   static MemoryMetrics simulate(const MemoryConfig& config,
                                 const PredecodedTrace& trace);
 
@@ -74,6 +70,10 @@ class MemorySystem {
 
  private:
   void enqueue_word(std::uint64_t cycle, std::uint64_t address, bool is_write);
+  /// Feeds an already split/decoded request stream, stamping each
+  /// request's tick to a controller cycle under this config's clocks.
+  /// Counts no endurance: simulate() takes the trace's own totals.
+  void enqueue_predecoded(const PredecodedTrace& trace);
 
   MemoryConfig config_;
   AddressDecoder decoder_;

@@ -2,15 +2,21 @@
 
 /// \file predecoded_trace.hpp
 /// A memory-event trace with the per-geometry preprocessing already
-/// done: wide accesses split into word-granular requests, addresses
-/// decoded to (channel, rank, bank, row, column), and 64B endurance line
-/// indexes computed.  The decode depends only on the mapping geometry —
-/// not on the clocks, timing, energy, or controller policy — so one
-/// predecoded trace feeds every sweep point that shares those fields
-/// (e.g. every clock pair and NVM tRCD variant of a channel count),
-/// instead of re-running AddressDecoder::decode per event per config.
-/// Requests keep their CPU tick; replay stamps each event's controller
-/// cycle under the replaying config's clocks.
+/// done: wide accesses split into word-granular requests and addresses
+/// decoded to (channel, flat bank, row).  The decode depends only on the
+/// mapping geometry — not on the clocks, timing, energy, or controller
+/// policy — so one predecoded trace feeds every sweep point that shares
+/// those fields (e.g. every clock pair and NVM tRCD variant of a channel
+/// count), instead of re-running AddressDecoder::decode per event per
+/// config.
+///
+/// Each request is one 16 B Record of input fields: its CPU tick, row,
+/// flat bank, channel and write bit.  Replay stamps the tick to a
+/// controller cycle under the replaying config's clocks and hands the
+/// fields straight to Channel::enqueue_trusted — nothing else is stored
+/// per request.  Endurance (the 64 B-line write counts) depends only on
+/// the stream's write addresses, so the builder counts it once and the
+/// stream carries the two totals; replay does no per-write counting.
 
 #include <cstdint>
 #include <functional>
@@ -18,41 +24,41 @@
 #include <string>
 #include <vector>
 
+#include "gmd/common/flat_counter.hpp"
 #include "gmd/cpusim/memory_event.hpp"
 #include "gmd/memsim/address.hpp"
-#include "gmd/memsim/channel.hpp"
 #include "gmd/memsim/config.hpp"
 
 namespace gmd::memsim {
 
-/// Ready-to-enqueue request stream, one entry per word-granular
-/// request, in trace order.  Replay stamps each request's cycle and
-/// hands the Request straight to its channel — no per-event split or
-/// decode left.
+/// Ready-to-enqueue request stream, one Record per word-granular
+/// request, in trace order.  Only MemorySystem::simulate replays it,
+/// always into a fresh system.
 struct PredecodedTrace {
-  /// Decoded requests.  `arrival` holds the CPU tick of the event the
-  /// request was split from; MemorySystem::enqueue_predecoded stamps
-  /// the controller cycle at replay.
-  std::vector<Request> request;
-  std::vector<std::uint32_t> channel;  ///< Target channel per request.
-  std::vector<std::uint64_t> line;     ///< 64B line index (endurance).
+  /// One word-granular request.
+  struct Record {
+    std::uint64_t tick = 0;  ///< CPU tick of the event it was split from.
+    std::uint32_t row = 0;
+    std::uint16_t bank = 0;  ///< Flat bank in the channel: rank * banks + bank.
+    std::uint8_t channel = 0;
+    std::uint8_t is_write = 0;
+  };
 
-  PredecodedTrace() = default;
-  /// An empty stream for `config`'s decode geometry.
-  explicit PredecodedTrace(const MemoryConfig& config);
+  std::vector<Record> records;
+
+  /// Endurance of the stream's writes, counted once at build exactly as
+  /// MemorySystem counts raw events: the most writes any 64 B line
+  /// takes, and the number of distinct lines written.
+  std::uint64_t max_line_writes = 0;
+  std::uint64_t unique_lines_written = 0;
 
   /// The decode key this trace was built for (see key()); simulate()
   /// refuses a config with a different key.
   std::string config_key;
 
-  std::size_t size() const { return request.size(); }
-  void reserve(std::size_t n);
+  std::size_t size() const { return records.size(); }
 
-  /// Splits and decodes one event onto the end of the stream.
-  /// `decoder` must have been built from `config`, and the stream
-  /// constructed for it.
-  void append_event(const MemoryConfig& config, const AddressDecoder& decoder,
-                    const cpusim::MemoryEvent& event);
+  class Builder;
 
   /// Predecodes a whole trace for `config`'s decode geometry.
   static PredecodedTrace build(const MemoryConfig& config,
@@ -78,6 +84,35 @@ struct PredecodedTrace {
   /// geometry, and access size.  Configs with equal keys — whatever
   /// their clocks — can share one predecoded trace.
   static std::string key(const MemoryConfig& config);
+};
+
+static_assert(sizeof(PredecodedTrace::Record) == 16,
+              "a predecoded request must stay 16 bytes");
+
+/// Builds one PredecodedTrace event by event, counting endurance as it
+/// goes.  Refuses, with Error(kConfig), a geometry whose channel or
+/// flat-bank index does not fit its Record field (more than 256
+/// channels, or more than 65,536 banks per channel).
+class PredecodedTrace::Builder {
+ public:
+  explicit Builder(const MemoryConfig& config);
+
+  /// Pre-sizes the stream for `events` events (one request each when
+  /// no event is wider than a word).
+  void reserve(std::size_t events) { out_.records.reserve(events); }
+
+  /// Splits and decodes one event onto the end of the stream.
+  void append(const cpusim::MemoryEvent& event);
+
+  /// The finished stream, with its endurance totals.
+  PredecodedTrace finish() &&;
+
+ private:
+  AddressDecoder decoder_;
+  std::uint64_t word_;
+  std::uint32_t banks_;
+  PredecodedTrace out_;
+  FlatCounter line_writes_;
 };
 
 }  // namespace gmd::memsim

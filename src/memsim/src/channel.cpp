@@ -25,6 +25,10 @@ Channel::Channel(const MemoryConfig& config)
     : config_(config), access_bytes_(config.access_bytes()) {
   config.validate();
   banks_.resize(static_cast<std::size_t>(config.ranks) * config.banks);
+  bank_rank_.resize(banks_.size());
+  for (std::size_t b = 0; b < banks_.size(); ++b) {
+    bank_rank_[b] = static_cast<std::uint32_t>(b / config.banks);
+  }
   ranks_.resize(config.ranks);
   stats_.bank_bytes.assign(banks_.size(), 0);
   fast_ = !config.sim.reference_mode && config.queue_depth <= kMaxFastDepth;
@@ -60,33 +64,39 @@ std::uint64_t Channel::constrain_and_record_activate(std::uint32_t rank,
 void Channel::enqueue(const Request& request) {
   GMD_REQUIRE(request.rank < config_.ranks && request.bank < config_.banks,
               "request rank/bank out of range");
-  enqueue_trusted(request, request.arrival);
+  enqueue_trusted(flat_bank(request), request.row, request.is_write,
+                  request.arrival);
 }
 
-void Channel::enqueue_trusted(const Request& request, std::uint64_t arrival) {
+void Channel::enqueue_trusted(std::uint32_t bank, std::uint32_t row,
+                              bool is_write, std::uint64_t arrival) {
   GMD_REQUIRE(arrival >= last_arrival_,
               "requests must be enqueued in arrival order");
   last_arrival_ = arrival;
   Deadline* const deadline = config_.sim.deadline;
-  Request pending = request;
-  pending.arrival = std::max(arrival, stall_until_);
+  std::uint64_t admitted = std::max(arrival, stall_until_);
   if (fast_) {
     while (queued_reads_ + queued_writes_ >= config_.queue_depth) {
       // Queue full: the trace reader blocks until the controller retires
       // an entry; the incoming request cannot arrive before that.
       if (deadline) deadline->check();
       stall_until_ = std::max(stall_until_, fast_service_next());
-      pending.arrival = std::max(pending.arrival, stall_until_);
+      admitted = std::max(admitted, stall_until_);
     }
-    fast_insert(pending);
+    fast_insert(bank, row, is_write, admitted);
     return;
   }
   while (queue_.size() >= config_.queue_depth) {
     if (deadline) deadline->check();
     stall_until_ = std::max(stall_until_, service(pick_next()));
-    pending.arrival = std::max(pending.arrival, stall_until_);
+    admitted = std::max(admitted, stall_until_);
   }
-  queue_.push_back(pending);
+  Request& pending = queue_.emplace_back();
+  pending.arrival = admitted;
+  pending.rank = bank_rank_[bank];
+  pending.bank = bank - pending.rank * config_.banks;
+  pending.row = row;
+  pending.is_write = is_write;
 }
 
 void Channel::drain() {
@@ -183,24 +193,26 @@ std::uint64_t Channel::service(std::size_t index) {
   GMD_ASSERT(index < queue_.size(), "service index out of range");
   const Request request = queue_[index];
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
-  const std::size_t b = flat_bank(request);
+  const std::uint32_t b = flat_bank(request);
   const BankState& bank = banks_[b];
   const bool row_hit = bank.open_row && *bank.open_row == request.row;
-  return service_request(request, b, row_hit);
+  return service_request(request.arrival, b, request.row, request.is_write,
+                         row_hit);
 }
 
 // Fast path -----------------------------------------------------------
 
-void Channel::fast_insert(const Request& pending) {
+void Channel::fast_insert(std::uint32_t b, std::uint32_t row, bool is_write,
+                          std::uint64_t arrival) {
   if (pos_ == kWindow) compact_window();
   const std::uint32_t s = pos_++;
   const std::uint64_t bit = std::uint64_t{1} << s;
-  window_[s] = pending;
-  const auto b = static_cast<std::uint32_t>(flat_bank(pending));
+  slot_arrival_[s] = arrival;
+  slot_row_[s] = row;
   slot_bank_[s] = b;
   live_mask_ |= bit;
   bank_mask_[b] |= bit;
-  if (pending.is_write) {
+  if (is_write) {
     write_mask_ |= bit;
     ++queued_writes_;
   } else {
@@ -208,7 +220,7 @@ void Channel::fast_insert(const Request& pending) {
   }
   if (track_hits_) {
     const BankState& bank = banks_[b];
-    if (bank.open_row && *bank.open_row == pending.row) hit_mask_ |= bit;
+    if (bank.open_row && *bank.open_row == row) hit_mask_ |= bit;
   }
 }
 
@@ -220,7 +232,8 @@ void Channel::compact_window() {
   for (std::uint64_t m = live_mask_; m != 0; m &= m - 1) {
     const std::uint32_t s = first_bit(m);
     if (n != s) {
-      window_[n] = window_[s];
+      slot_arrival_[n] = slot_arrival_[s];
+      slot_row_[n] = slot_row_[s];
       slot_bank_[n] = slot_bank_[s];
     }
     const std::uint64_t old_bit = std::uint64_t{1} << s;
@@ -252,14 +265,14 @@ std::uint64_t Channel::fast_service_next() {
   // time), so a zero mask covers every other policy combination.
   std::uint64_t hits = hit_mask_ & eligible;
   if (hits != 0) {
-    const std::uint64_t horizon = std::max(now_, window_[victim].arrival);
+    const std::uint64_t horizon = std::max(now_, slot_arrival_[victim]);
     // Arrivals are monotone in slot position, so the slots with
     // arrival <= horizon form a prefix; the cached boundary usually
     // moves at most a step between picks.
-    while (arrived_ < pos_ && window_[arrived_].arrival <= horizon) {
+    while (arrived_ < pos_ && slot_arrival_[arrived_] <= horizon) {
       ++arrived_;
     }
-    while (arrived_ > 0 && window_[arrived_ - 1].arrival > horizon) {
+    while (arrived_ > 0 && slot_arrival_[arrived_ - 1] > horizon) {
       --arrived_;
     }
     hits &= low_bits(arrived_);
@@ -269,30 +282,32 @@ std::uint64_t Channel::fast_service_next() {
 }
 
 std::uint64_t Channel::fast_service_slot(std::uint32_t s) {
-  const Request request = window_[s];
   const std::uint32_t b = slot_bank_[s];
+  const std::uint32_t row = slot_row_[s];
   const std::uint64_t bit = std::uint64_t{1} << s;
+  const bool is_write = (write_mask_ & bit) != 0;
   live_mask_ &= ~bit;
   bank_mask_[b] &= ~bit;
   hit_mask_ &= ~bit;
-  if (request.is_write) {
+  if (is_write) {
     write_mask_ &= ~bit;
     --queued_writes_;
   } else {
     --queued_reads_;
   }
   const BankState& bank = banks_[b];
-  const bool row_hit = bank.open_row && *bank.open_row == request.row;
-  const std::uint64_t completion = service_request(request, b, row_hit);
+  const bool row_hit = bank.open_row && *bank.open_row == row;
+  const std::uint64_t completion =
+      service_request(slot_arrival_[s], b, row, is_write, row_hit);
   if (track_hits_ && !row_hit) {
-    // The miss re-opened the bank on request.row: recompute which of
-    // the bank's queued requests hit the new row.  Hits leave the open
-    // row alone, so their retirement needs no mask work beyond the
-    // clears above.
+    // The miss re-opened the bank on `row`: recompute which of the
+    // bank's queued requests hit the new row.  Hits leave the open row
+    // alone, so their retirement needs no mask work beyond the clears
+    // above.
     std::uint64_t hits = 0;
     for (std::uint64_t m = bank_mask_[b]; m != 0; m &= m - 1) {
       const std::uint32_t i = first_bit(m);
-      if (window_[i].row == request.row) hits |= std::uint64_t{1} << i;
+      if (slot_row_[i] == row) hits |= std::uint64_t{1} << i;
     }
     hit_mask_ = (hit_mask_ & ~bank_mask_[b]) | hits;
   }
@@ -301,14 +316,15 @@ std::uint64_t Channel::fast_service_slot(std::uint32_t s) {
 
 // Shared timing algebra ------------------------------------------------
 
-std::uint64_t Channel::service_request(Request request, std::size_t b,
-                                       bool row_hit) {
+std::uint64_t Channel::service_request(std::uint64_t arrival,
+                                       std::uint32_t b, std::uint32_t row,
+                                       bool is_write, bool row_hit) {
   const TimingParams& t = config_.timing;
   BankState& bank = banks_[b];
 
   // The controller takes the request up once it has both arrived and
   // the command engine has finished earlier work.
-  const std::uint64_t take_up = std::max(now_, request.arrival);
+  const std::uint64_t take_up = std::max(now_, arrival);
 
   std::uint64_t cas_ready;       // earliest CAS issue from bank state
   std::uint64_t first_command;   // service_start
@@ -342,13 +358,13 @@ std::uint64_t Channel::service_request(Request request, std::size_t b,
     }
     // Rank-level activation pacing (tRRD, tFAW).
     activate_start =
-        constrain_and_record_activate(request.rank, activate_start);
+        constrain_and_record_activate(bank_rank_[b], activate_start);
     if (first_command_is_activate) first_command = activate_start;
     bank.last_activate = activate_start;
     ++bank.activations;
     ++stats_.activations;
     cas_ready = activate_start + t.tRCD;
-    bank.open_row = request.row;
+    bank.open_row = row;
   }
 
   // Column command: respects channel command spacing and the bank's
@@ -365,13 +381,13 @@ std::uint64_t Channel::service_request(Request request, std::size_t b,
   // (tWR), blocking further column commands to that bank — this is how
   // slow NVM cell writes throttle write streams even on row hits.
   bank.ready_for_cas =
-      request.is_write ? data_end + t.tWR : cas_issue + t.tCCD;
+      is_write ? data_end + t.tWR : cas_issue + t.tCCD;
 
   // Precharge constraints: DRAM must satisfy tRAS from activate (data
   // restoration, absent in NVM where tRAS = 0); writes add recovery.
   const std::uint64_t ras_bound = bank.last_activate + t.tRAS;
   const std::uint64_t recovery =
-      request.is_write ? data_end + t.tWR : data_end;
+      is_write ? data_end + t.tWR : data_end;
   bank.ready_for_precharge = std::max(ras_bound, recovery);
 
   if (config_.page_policy == PagePolicy::kClosed) {
@@ -384,16 +400,17 @@ std::uint64_t Channel::service_request(Request request, std::size_t b,
     bank.ready_for_activate = bank.ready_for_precharge + t.tRP;
   }
 
-  // Record the transaction.
-  request.service_start = first_command;
-  request.completion = data_end;
-  if (request.is_write) {
+  // Record the transaction: service latency runs from the first command
+  // (the paper's "average latency"), total latency from arrival (queue +
+  // service, the paper's "total latency").
+  const std::uint64_t total_latency = data_end - arrival;
+  if (is_write) {
     ++stats_.writes;
   } else {
     ++stats_.reads;
   }
-  stats_.sum_service_latency += request.service_latency();
-  stats_.sum_total_latency += request.total_latency();
+  stats_.sum_service_latency += data_end - first_command;
+  stats_.sum_total_latency += total_latency;
   stats_.last_completion = std::max(stats_.last_completion, data_end);
   // Bytes only feed the final per-bank totals, assembled in drain().
   const std::uint64_t bytes = access_bytes_;
@@ -404,8 +421,8 @@ std::uint64_t Channel::service_request(Request request, std::size_t b,
     const std::uint64_t epoch = data_end / config_.epoch_cycles;
     if (stats_.epochs.size() <= epoch) stats_.epochs.resize(epoch + 1);
     ChannelStats::Epoch& bucket = stats_.epochs[epoch];
-    (request.is_write ? bucket.writes : bucket.reads) += 1;
-    bucket.sum_total_latency += request.total_latency();
+    (is_write ? bucket.writes : bucket.reads) += 1;
+    bucket.sum_total_latency += total_latency;
     bucket.bytes += bytes;
   }
 

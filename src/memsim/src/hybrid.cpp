@@ -181,23 +181,21 @@ std::pair<PredecodedTrace, PredecodedTrace> predecode_hybrid(
     }
     events += chunk.size();
   }
-  const AddressDecoder dram_decoder(config.dram);
-  const AddressDecoder nvm_decoder(config.nvm);
-  PredecodedTrace dram_side(config.dram);
-  PredecodedTrace nvm_side(config.nvm);
+  PredecodedTrace::Builder dram_side(config.dram);
+  PredecodedTrace::Builder nvm_side(config.nvm);
   dram_side.reserve(dram_events);
   nvm_side.reserve(events - dram_events);
   const PredecodedTrace::EventChunkSource source = open();
   for (auto chunk = source(); !chunk.empty(); chunk = source()) {
     for (const cpusim::MemoryEvent& event : chunk) {
       if (HybridMemory::static_routes_to_dram(config, event.address)) {
-        dram_side.append_event(config.dram, dram_decoder, event);
+        dram_side.append(event);
       } else {
-        nvm_side.append_event(config.nvm, nvm_decoder, event);
+        nvm_side.append(event);
       }
     }
   }
-  return {std::move(dram_side), std::move(nvm_side)};
+  return {std::move(dram_side).finish(), std::move(nvm_side).finish()};
 }
 
 std::pair<PredecodedTrace, PredecodedTrace> predecode_hybrid(

@@ -61,7 +61,6 @@ void MemorySystem::enqueue_word(std::uint64_t cycle, std::uint64_t address,
 }
 
 void MemorySystem::enqueue_predecoded(const PredecodedTrace& trace) {
-  GMD_REQUIRE(!finished_, "enqueue_predecoded after finish()");
   GMD_REQUIRE(trace.config_key == PredecodedTrace::key(config_),
               "predecoded trace was built for a different decode geometry ('"
                   << trace.config_key << "' vs '"
@@ -74,15 +73,13 @@ void MemorySystem::enqueue_predecoded(const PredecodedTrace& trace) {
   const TickStamp stamp = stamp_;
   std::uint64_t tick = 0;
   std::uint64_t cycle = 0;
-  const std::size_t n = trace.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const Request& request = trace.request[i];
-    if (request.arrival != tick) {
-      tick = request.arrival;
+  for (const PredecodedTrace::Record& r : trace.records) {
+    if (r.tick != tick) {
+      tick = r.tick;
       cycle = stamp(tick);
     }
-    channels_[trace.channel[i]].enqueue_trusted(request, cycle);
-    if (request.is_write) line_writes_.bump(trace.line[i]);
+    channels_[r.channel].enqueue_trusted(r.bank, r.row, r.is_write != 0,
+                                         cycle);
   }
 }
 
@@ -264,7 +261,10 @@ MemoryMetrics MemorySystem::simulate(const MemoryConfig& config,
                                      const PredecodedTrace& trace) {
   MemorySystem system(config);
   system.enqueue_predecoded(trace);
-  return system.finish();
+  MemoryMetrics m = system.finish();
+  m.max_line_writes = trace.max_line_writes;
+  m.unique_lines_written = trace.unique_lines_written;
+  return m;
 }
 
 }  // namespace gmd::memsim

@@ -6,69 +6,68 @@
 
 namespace gmd::memsim {
 
-PredecodedTrace::PredecodedTrace(const MemoryConfig& config)
-    : config_key(key(config)) {}
-
-void PredecodedTrace::reserve(std::size_t n) {
-  request.reserve(n);
-  channel.reserve(n);
-  line.reserve(n);
+PredecodedTrace::Builder::Builder(const MemoryConfig& config)
+    : decoder_(config), word_(config.access_bytes()), banks_(config.banks) {
+  // The Record's 8-bit channel and 16-bit flat-bank fields.
+  GMD_REQUIRE_AS(ErrorCode::kConfig, config.channels <= 256,
+                 "a predecoded stream holds at most 256 channels, got "
+                     << config.channels);
+  GMD_REQUIRE_AS(
+      ErrorCode::kConfig,
+      static_cast<std::uint64_t>(config.ranks) * config.banks <= 65536,
+      "a predecoded stream holds at most 65536 banks per channel, got "
+          << config.ranks << " ranks x " << config.banks << " banks");
+  out_.config_key = key(config);
 }
 
-void PredecodedTrace::append_event(const MemoryConfig& config,
-                                   const AddressDecoder& decoder,
-                                   const cpusim::MemoryEvent& event) {
+void PredecodedTrace::Builder::append(const cpusim::MemoryEvent& event) {
   GMD_REQUIRE(event.size > 0, "event size must be positive");
-  const std::uint64_t word = config.access_bytes();
   // Split wide accesses into word-granular requests, as a memory
   // controller's transaction splitter would (MemorySystem::enqueue_event
   // does the same split on the undecoded path).
   std::uint64_t first;
   std::uint64_t last;
-  if ((word & (word - 1)) == 0) {  // power-of-two word: mask, not divide
-    first = event.address & ~(word - 1);
-    last = (event.address + event.size - 1) & ~(word - 1);
+  if ((word_ & (word_ - 1)) == 0) {  // power-of-two word: mask, not divide
+    first = event.address & ~(word_ - 1);
+    last = (event.address + event.size - 1) & ~(word_ - 1);
   } else {
-    first = event.address / word * word;
-    last = (event.address + event.size - 1) / word * word;
+    first = event.address / word_ * word_;
+    last = (event.address + event.size - 1) / word_ * word_;
   }
-  for (std::uint64_t addr = first; addr <= last; addr += word) {
-    const DecodedAddress loc = decoder.decode(addr);
-    Request& req = request.emplace_back();
-    req.arrival = event.tick;  // stamped to a cycle at replay
-    req.rank = loc.rank;
-    req.bank = loc.bank;
-    req.row = loc.row;
-    req.column = loc.column;
-    req.is_write = event.is_write;
-    channel.push_back(loc.channel);
-    line.push_back(addr / 64);
+  for (std::uint64_t addr = first; addr <= last; addr += word_) {
+    const DecodedAddress loc = decoder_.decode(addr);
+    out_.records.push_back(
+        {event.tick,  // stamped to a cycle at replay
+         loc.row, static_cast<std::uint16_t>(loc.rank * banks_ + loc.bank),
+         static_cast<std::uint8_t>(loc.channel),
+         static_cast<std::uint8_t>(event.is_write)});
+    if (event.is_write) line_writes_.bump(addr / 64);
   }
+}
+
+PredecodedTrace PredecodedTrace::Builder::finish() && {
+  out_.max_line_writes = line_writes_.max_count();
+  out_.unique_lines_written = line_writes_.size();
+  return std::move(out_);
 }
 
 PredecodedTrace PredecodedTrace::build(
     const MemoryConfig& config, std::span<const cpusim::MemoryEvent> trace) {
-  const AddressDecoder decoder(config);
-  PredecodedTrace out(config);
-  out.reserve(trace.size());
-  for (const cpusim::MemoryEvent& event : trace) {
-    out.append_event(config, decoder, event);
-  }
-  return out;
+  Builder builder(config);
+  builder.reserve(trace.size());
+  for (const cpusim::MemoryEvent& event : trace) builder.append(event);
+  return std::move(builder).finish();
 }
 
 PredecodedTrace PredecodedTrace::build(const MemoryConfig& config,
                                        const EventChunkSource& source,
                                        std::size_t size_hint) {
-  const AddressDecoder decoder(config);
-  PredecodedTrace out(config);
-  if (size_hint > 0) out.reserve(size_hint);
+  Builder builder(config);
+  if (size_hint > 0) builder.reserve(size_hint);
   for (auto chunk = source(); !chunk.empty(); chunk = source()) {
-    for (const cpusim::MemoryEvent& event : chunk) {
-      out.append_event(config, decoder, event);
-    }
+    for (const cpusim::MemoryEvent& event : chunk) builder.append(event);
   }
-  return out;
+  return std::move(builder).finish();
 }
 
 std::string PredecodedTrace::key(const MemoryConfig& config) {

@@ -1,5 +1,6 @@
 #include "gmd/service/service.hpp"
 
+#include <cmath>
 #include <future>
 #include <memory>
 #include <utility>
@@ -24,16 +25,26 @@ dse::MemoryKind parse_kind(const std::string& kind) {
               "unknown memory kind '" + kind + "' (dram|nvm|hybrid)");
 }
 
-std::uint32_t parse_u32(const Json& object, const std::string& key,
-                        std::uint32_t fallback) {
+/// An integer field in [0, max], or `fallback` when absent.  `max` is
+/// at most 2^53, the largest range a JSON double holds exactly, so no
+/// value is rounded or truncated on the way in.
+std::uint64_t parse_unsigned(const Json& object, const std::string& key,
+                             std::uint64_t fallback, std::uint64_t max) {
   const Json& field = object.at(key);
   if (field.is_null()) return fallback;
   const double value = field.as_number();
   GMD_REQUIRE_AS(ErrorCode::kInvalidData,
-                 value >= 0 && value <= 4294967295.0 &&
-                     value == static_cast<std::uint32_t>(value),
-                 "field '" << key << "' must be an unsigned integer");
-  return static_cast<std::uint32_t>(value);
+                 value >= 0 && value <= static_cast<double>(max) &&
+                     value == std::floor(value),
+                 "field '" << key << "' must be an integer in [0, " << max
+                           << "]");
+  return static_cast<std::uint64_t>(value);
+}
+
+std::uint32_t parse_u32(const Json& object, const std::string& key,
+                        std::uint32_t fallback) {
+  return static_cast<std::uint32_t>(
+      parse_unsigned(object, key, fallback, UINT32_MAX));
 }
 
 Json error_json(const Json& id, ErrorCode code, const std::string& message) {
@@ -298,7 +309,7 @@ Json Service::run_simulate(const Request& request, Deadline* deadline) {
   if (!sampling.is_null()) {
     sim.sample_fraction = sampling.number_or("fraction", 1.0);
     sim.sample_seed =
-        static_cast<std::uint64_t>(sampling.number_or("seed", 1));
+        parse_unsigned(sampling, "seed", 1, std::uint64_t{1} << 53);
     sim.sample_warmup_chunks = parse_u32(sampling, "warmup_chunks", 1);
   }
 

@@ -432,6 +432,43 @@ TEST_F(ServiceTest, SampledSimulationReportsConfidenceIntervals) {
   EXPECT_EQ(reseeded.number_or("cache_hits", -1.0), 0.0);
 }
 
+TEST_F(ServiceTest, SampledSeedMustBeAnExactUnsignedInteger) {
+  auto service = make_service();
+  dse::DesignPoint point = (*points_)[0];
+  point.kind = dse::MemoryKind::kDram;
+  Json request = simulate_request({&point, 1});
+  request["sampling"]["fraction"] = 0.5;
+  // Negative, past 2^64, exactly 2^64 - 1 as JSON writes it (which a
+  // double rounds up to 2^64), and fractional: none may reach the
+  // sampler cast or truncated.
+  for (const double bad : {-1.0, 1e30, 18446744073709551615.0, 1.5}) {
+    request["sampling"]["seed"] = bad;
+    const Json response = Json::parse(service->handle(request.dump()));
+    EXPECT_FALSE(response.bool_or("ok", true)) << bad;
+    EXPECT_EQ(response.at("error").string_or("code", ""), "invalid-data")
+        << bad;
+  }
+
+  // 2^53, the largest seed a JSON double holds exactly, is accepted and
+  // seeds the sampler as simulate_point would.
+  const std::uint64_t seed = std::uint64_t{1} << 53;
+  request["sampling"]["seed"] = static_cast<double>(seed);
+  const Json response = Json::parse(service->handle(request.dump()));
+  ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+  dse::SimulateOptions options;
+  options.sample_fraction = 0.5;
+  options.sample_seed = seed;
+  tracestore::TraceStoreReader store(*store_path_);
+  const dse::MetricsRow reference = dse::simulate_point(store, point, options);
+  const auto names = memsim::MemoryMetrics::metric_names();
+  const auto values = reference.metrics.metric_values();
+  const Json& metrics = response.at("rows").as_array()[0].at("metrics");
+  for (std::size_t m = 0; m < names.size(); ++m) {
+    EXPECT_EQ(metrics.at(std::string(names[m])).as_number(), values[m])
+        << names[m];
+  }
+}
+
 // The service keeps one predecoded feed per clock-free geometry a
 // request reaches: the 416-point paper grid reaches four (two channel
 // counts, single-technology and hybrid), whatever the clocks.

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "event_path_golden.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/common/rng.hpp"
 #include "gmd/memsim/address.hpp"
@@ -27,57 +28,8 @@ namespace {
 
 using cpusim::MemoryEvent;
 
-/// The queue lane an address lands in: events in one lane must keep
-/// non-decreasing ticks (the raw path checks arrival order per channel).
-using LaneOf = std::function<std::uint32_t(std::uint64_t address)>;
-
-/// The first 64B-aligned address at or above `from` in `lane`.
-std::uint64_t address_in_lane(const LaneOf& lane_of, std::uint32_t lane,
-                              std::uint64_t from) {
-  for (std::uint64_t address = from;; address += 64) {
-    if (lane_of(address) == lane) return address;
-  }
-}
-
-/// A mixed trace with every stamp corner (see the file comment).
-std::vector<MemoryEvent> corner_trace(const LaneOf& lane_of) {
-  std::vector<MemoryEvent> trace;
-  std::uint64_t tick = 0;
-  for (std::uint64_t i = 0; i < 1500; ++i) {
-    // Runs of three events share one tick.
-    if (i % 3 == 0) tick += 1 + (i % 11) * 7;
-    const std::uint64_t address = i % 2 == 0
-                                      ? 0x100000 + i * 64
-                                      : 0x400000 + (i % 37) * 8192;
-    // Every fifth event is 256B wide: four requests on one tick.
-    const std::uint32_t size = i % 5 == 0 ? 256 : 64;
-    trace.push_back({tick, address, size, i % 4 == 1});
-  }
-
-  // Out of order across lanes, in order within each lane.
-  const std::uint64_t base = tick + 100;
-  const std::uint64_t a = 0x900000;
-  std::uint64_t b = a + 64;
-  while (lane_of(b) == lane_of(a)) b += 64;
-  trace.push_back({base + 20, a, 64, false});
-  trace.push_back({base + 10, b, 64, true});
-  trace.push_back({base + 30, address_in_lane(lane_of, lane_of(a), a + 0x40000),
-                   64, false});
-  trace.push_back(
-      {base + 15, address_in_lane(lane_of, lane_of(b), b + 64), 64, false});
-  trace.push_back({base + 40, b, 64, false});
-
-  // Ticks at and past the 64-bit limit of tick * clock: the last tick
-  // that fits at 1600 MHz, the first that does not, and one far past.
-  const std::uint64_t fits =
-      std::numeric_limits<std::uint64_t>::max() / 1600;
-  for (const std::uint64_t big :
-       {fits, fits + 1, fits + 1, std::uint64_t{1} << 60}) {
-    trace.push_back({big, 0x100040, 128, false});
-    trace.push_back({big, 0x400000, 64, true});
-  }
-  return trace;
-}
+using golden::address_in_lane;
+using golden::corner_trace;
 
 /// Every field a replay reports, compared exactly.
 void expect_identical(const MemoryMetrics& a, const MemoryMetrics& b,

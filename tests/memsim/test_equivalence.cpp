@@ -11,6 +11,7 @@
 
 #include <tuple>
 
+#include "event_path_golden.hpp"
 #include "gmd/common/deadline.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/memsim/hybrid.hpp"
@@ -21,35 +22,7 @@ namespace {
 
 using cpusim::MemoryEvent;
 
-std::vector<MemoryEvent> mixed_trace(std::size_t n = 2000) {
-  // Streaming, strided, and hot-cluster phases with both narrow and
-  // wide (split) accesses — exercises row hits, conflicts, write
-  // drains, and the transaction splitter.
-  std::vector<MemoryEvent> trace;
-  trace.reserve(n);
-  std::uint64_t tick = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    tick += 3 + (i % 7) * 5;
-    std::uint64_t address;
-    switch (i % 4) {
-      case 0:
-        address = 0x100000 + i * 64;  // stream
-        break;
-      case 1:
-        address = 0x400000 + (i % 41) * 8192;  // strided rows
-        break;
-      case 2:
-        address = 0x800000 + (i % 13) * 64;  // hot cluster
-        break;
-      default:
-        address = 0x200000 + (i % 29) * 4096;  // page-strided
-        break;
-    }
-    const std::uint32_t size = i % 5 == 0 ? 128 : 64;  // some split in two
-    trace.push_back({tick, address, size, i % 3 == 1});
-  }
-  return trace;
-}
+using golden::mixed_trace;
 
 /// Full-surface comparison: every scalar metric, every counter, and the
 /// whole epoch series.  EXPECT_EQ on doubles is deliberate — the fast
@@ -88,18 +61,14 @@ MemoryMetrics run_reference(MemoryConfig config,
 using EquivTuple = std::tuple<bool, SchedulingPolicy, PagePolicy, bool,
                               std::uint32_t>;
 
+golden::PolicyCell cell_of(const EquivTuple& param) {
+  const auto [is_nvm, scheduling, page, prio, depth] = param;
+  return {is_nvm, scheduling, page, prio, depth};
+}
+
 class FastVsReference : public testing::TestWithParam<EquivTuple> {
  protected:
-  MemoryConfig make_config() const {
-    const auto [is_nvm, scheduling, page, prio, depth] = GetParam();
-    MemoryConfig config = is_nvm ? make_nvm_config(2, 666, 3000, 40)
-                                 : make_dram_config(2, 666, 3000);
-    config.scheduling = scheduling;
-    config.page_policy = page;
-    config.prioritize_reads = prio;
-    config.queue_depth = depth;
-    return config;
-  }
+  MemoryConfig make_config() const { return cell_of(GetParam()).config(); }
 };
 
 TEST_P(FastVsReference, IdenticalMetrics) {
@@ -126,14 +95,7 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Bool(),            // prioritize_reads
                      testing::Values(4u, 32u)),  // tight vs default queue
     [](const testing::TestParamInfo<EquivTuple>& info) {
-      std::string name = std::get<0>(info.param) ? "Nvm" : "Dram";
-      name += std::get<1>(info.param) == SchedulingPolicy::kFcfs ? "Fcfs"
-                                                                 : "FrFcfs";
-      name += std::get<2>(info.param) == PagePolicy::kOpen ? "Open"
-                                                           : "Closed";
-      name += std::get<3>(info.param) ? "ReadPrio" : "";
-      name += "Q" + std::to_string(std::get<4>(info.param));
-      return name;
+      return cell_of(info.param).name();
     });
 
 TEST(FastVsReferenceExtra, RefreshEnabled) {

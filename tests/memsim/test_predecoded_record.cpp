@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "event_path_golden.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/memsim/hybrid.hpp"
 #include "gmd/memsim/memory_system.hpp"
@@ -20,22 +21,7 @@ namespace {
 
 using cpusim::MemoryEvent;
 
-/// Repeated writes to one line, 256 B writes that split across five
-/// lines (unaligned, so the first and last words straddle), reads that
-/// must not count, and wide writes that overlap the hot line.
-std::vector<MemoryEvent> endurance_trace() {
-  std::vector<MemoryEvent> trace;
-  std::uint64_t tick = 0;
-  for (int i = 0; i < 12; ++i) trace.push_back({tick += 5, 0x12340, 64, true});
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    trace.push_back({tick += 3, 0x200020 + i * 0x1000, 256, true});
-  }
-  for (std::uint64_t i = 0; i < 40; ++i) {
-    trace.push_back({tick += 2, 0x300000 + i * 64, 64, false});
-  }
-  for (int i = 0; i < 3; ++i) trace.push_back({tick += 7, 0x12320, 256, true});
-  return trace;
-}
+using golden::endurance_trace;
 
 void expect_config_error(const std::function<void()>& build) {
   try {
@@ -83,17 +69,8 @@ TEST(PredecodedRecord, RefusesMoreBanksPerChannelThanTheFieldHolds) {
 TEST(PredecodedRecord, FlatBanksPastOneByteReplayLikeRawEvents) {
   // 4 ranks x 128 banks: flat indexes up to 511 take both bytes of the
   // field, and the replay must still land each request on its bank.
-  MemoryConfig config = make_nvm_config(2, 400, 2000, 20);
-  config.ranks = 4;
-  config.banks = 128;
-  config.rows = 1024;
-  std::vector<MemoryEvent> trace;
-  std::uint64_t tick = 0;
-  for (std::uint64_t i = 0; i < 3000; ++i) {
-    tick += 1 + i % 5;
-    trace.push_back({tick, (i * 0x9E3779B97F4A7C15ULL) % (1ULL << 30) & ~63ULL,
-                     i % 7 == 0 ? 256u : 64u, i % 3 == 0});
-  }
+  const MemoryConfig config = golden::many_banks_config();
+  const auto trace = golden::many_banks_trace();
   const MemoryMetrics raw = MemorySystem::simulate(config, trace);
   const MemoryMetrics replayed =
       MemorySystem::simulate(config, PredecodedTrace::build(config, trace));

@@ -92,6 +92,8 @@ void BM_TraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGeneration)->Arg(1024);
 
+/// One whole simulation from events: predecode (split, decode, count
+/// endurance) plus replay, per iteration.
 void BM_MemorySimulation(benchmark::State& state) {
   const auto trace = make_trace(1024);
   const auto config = memsim::make_dram_config(2, 666, 3000);
@@ -102,6 +104,7 @@ void BM_MemorySimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_MemorySimulation);
 
+/// BM_MemorySimulation under NVM timing: predecode plus replay.
 void BM_MemorySimulationNvm(benchmark::State& state) {
   const auto trace = make_trace(1024);
   const auto config = memsim::make_nvm_config(2, 666, 3000, 67);
@@ -128,7 +131,8 @@ void BM_MemorySimulationPredecoded(benchmark::State& state) {
 BENCHMARK(BM_MemorySimulationPredecoded);
 
 /// The original scan-and-erase scheduler, as a same-binary baseline for
-/// the fast path (MemSimOptions::reference_mode).
+/// the fast path (MemSimOptions::reference_mode); predecode plus replay,
+/// like BM_MemorySimulation.
 void BM_MemorySimulationReference(benchmark::State& state) {
   const auto trace = make_trace(1024);
   auto config = memsim::make_dram_config(2, 666, 3000);
@@ -141,7 +145,8 @@ void BM_MemorySimulationReference(benchmark::State& state) {
 BENCHMARK(BM_MemorySimulationReference);
 
 /// Chunk-sampled estimate at 10% of 2000-event windows — the cheap
-/// screening tier, which should scale with the sampled fraction.
+/// screening tier, which should scale with the sampled fraction.  Each
+/// window predecodes its warmup and window chunks, then replays them.
 void BM_MemorySimulationSampled(benchmark::State& state) {
   const auto trace = make_trace(1024);
   const auto config = memsim::make_dram_config(2, 666, 3000);

@@ -288,7 +288,7 @@ int memsim(int argc, char** argv) {
                    "hybrid mode needs both --config-dram and --config-nvm");
     GMD_REQUIRE_AS(ErrorCode::kConfig, !sampled_run,
                    "--sample-fraction < 1 supports single-technology configs "
-                   "only (hybrid migration state is whole-trace)");
+                   "only (no two-sided window estimator for hybrids yet)");
     memsim::HybridConfig config;
     config.dram = memsim::load_config(dram_path);
     config.nvm = memsim::load_config(nvm_path);

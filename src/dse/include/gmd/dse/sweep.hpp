@@ -198,8 +198,9 @@ struct Feed {
 std::string feed_key(const DesignPoint& point);
 
 /// True when `point` replays a Feed under `sample_fraction`; false when
-/// it samples raw trace chunks instead (a single-technology point below
-/// 1 — hybrid points are always exhaustive).
+/// it samples trace chunks instead (a single-technology point below 1 —
+/// hybrid points are always exhaustive: a hybrid window would need a
+/// two-sided estimator, which memsim does not have yet).
 bool replays_feed(const DesignPoint& point, double sample_fraction);
 
 /// Builds `point`'s Feed from a GMDT store, streaming chunk by chunk
@@ -256,7 +257,8 @@ MetricsRow simulate_point(const tracestore::TraceStoreReader& store,
                           const SimulateOptions& options = {});
 
 /// Simulates a single point over an in-memory trace (exhaustive,
-/// serial; same code path as above with a raw-span feed).
+/// serial): builds the point's Feed and replays it through the same
+/// code path as above.
 memsim::MemoryMetrics simulate_point(
     const DesignPoint& point, std::span<const cpusim::MemoryEvent> trace);
 

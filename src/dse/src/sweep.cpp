@@ -98,10 +98,8 @@ struct SweepTask {
 };
 
 /// The trace source one point simulation consumes: `chunked` for a
-/// point that samples chunks, else `feed`, or the `raw` events (the
-/// undecoded reference path) when no feed is set.
+/// point that samples chunks, else `feed`.
 struct PointFeed {
-  std::span<const cpusim::MemoryEvent> raw;
   const Feed* feed = nullptr;
   memsim::ChunkedTrace* chunked = nullptr;
 };
@@ -126,21 +124,17 @@ void simulate_point_into(const DesignPoint& point,
     row.metric_ci.assign(sampled.ci.begin(), sampled.ci.end());
     return;
   }
+  GMD_ASSERT(feed.feed != nullptr, "exhaustive point needs a feed");
   if (point.kind == MemoryKind::kHybrid) {
     memsim::HybridConfig config = point.hybrid_config();
     config.dram.sim.deadline = options.deadline;
     config.nvm.sim.deadline = options.deadline;
-    row.metrics = feed.feed != nullptr
-                      ? memsim::HybridMemory::simulate(config, feed.feed->dram,
-                                                       feed.feed->nvm)
-                      : memsim::HybridMemory::simulate(config, feed.raw);
+    row.metrics = memsim::HybridMemory::simulate(config, feed.feed->dram,
+                                                 feed.feed->nvm);
   } else {
     memsim::MemoryConfig config = point.single_config();
     config.sim.deadline = options.deadline;
-    row.metrics =
-        feed.feed != nullptr
-            ? memsim::MemorySystem::simulate(config, feed.feed->single)
-            : memsim::MemorySystem::simulate(config, feed.raw);
+    row.metrics = memsim::MemorySystem::simulate(config, feed.feed->single);
   }
   // A sampled sweep's exhaustive rows (hybrids) carry point intervals
   // so every row of the sweep reports in the same shape.
@@ -209,8 +203,9 @@ std::string to_string(FailurePolicy policy) {
 
 memsim::MemoryMetrics simulate_point(
     const DesignPoint& point, std::span<const cpusim::MemoryEvent> trace) {
+  const Feed built = build_feed(point, trace);
   PointFeed feed;
-  feed.raw = trace;
+  feed.feed = &built;
   MetricsRow row;
   simulate_point_into(point, SimulateOptions{}, feed, row);
   return row.metrics;
@@ -534,8 +529,9 @@ std::vector<SweepRow> run_sweep_impl(std::span<const DesignPoint> points,
     }
     if (hybrid_points > 0) {
       GMD_LOG_INFO << "sweep sampling: " << hybrid_points
-                   << " hybrid points run exhaustively (migration state is "
-                      "whole-trace; their rows carry point intervals)";
+                   << " hybrid points run exhaustively (no two-sided "
+                      "window estimator yet; their rows carry point "
+                      "intervals)";
     }
   }
 

@@ -86,19 +86,20 @@ class Channel {
   /// copied, so temporaries are safe to pass.
   explicit Channel(const MemoryConfig& config);
 
-  /// Queues one transaction.  When the transaction queue is full the
-  /// controller first services entries to make room, and the incoming
-  /// request (plus everything after it) is pushed back to that drain
-  /// point — the back-pressure NVMain's blocking trace reader applies,
-  /// which keeps queuing delays bounded by the queue depth.
+  /// Queues one transaction, range-checked: the entry point for
+  /// driving one channel directly.  When the transaction queue is full
+  /// the controller first services entries to make room, and the
+  /// incoming request (plus everything after it) is pushed back to that
+  /// drain point — the back-pressure NVMain's blocking trace reader
+  /// applies, which keeps queuing delays bounded by the queue depth.
   void enqueue(const Request& request);
 
-  /// enqueue() from fields, minus the rank/bank range check, for
-  /// callers that guarantee the range up front (a predecoded trace's
-  /// decoder establishes it once at build time).  `bank` is the flat
-  /// index rank * banks + bank.  Arrival order is still checked: a
-  /// predecoded stream's cycles are stamped at replay, so its order is
-  /// only known then.
+  /// enqueue() from fields, minus the rank/bank range check: the path
+  /// MemorySystem replays predecoded records through, whose builder's
+  /// decoder keeps every bank in range.  `bank` is the flat index
+  /// rank * banks + bank.  Arrival order is still checked: a predecoded
+  /// stream's cycles are stamped at replay, so its order is only known
+  /// then.
   void enqueue_trusted(std::uint32_t bank, std::uint32_t row,
                        bool is_write, std::uint64_t arrival);
 

@@ -143,7 +143,9 @@ struct MemoryConfig {
   /// Simulator implementation switches (see MemSimOptions).
   MemSimOptions sim;
 
-  /// Throws gmd::Error when any field is inconsistent.
+  /// Throws gmd::Error when any field is inconsistent, and
+  /// Error(kConfig) for a geometry no predecoded record can address:
+  /// more than 256 channels, or more than 65,536 banks per channel.
   void validate() const;
 };
 

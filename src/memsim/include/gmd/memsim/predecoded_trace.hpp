@@ -3,12 +3,13 @@
 /// \file predecoded_trace.hpp
 /// A memory-event trace with the per-geometry preprocessing already
 /// done: wide accesses split into word-granular requests and addresses
-/// decoded to (channel, flat bank, row).  The decode depends only on the
-/// mapping geometry — not on the clocks, timing, energy, or controller
-/// policy — so one predecoded trace feeds every sweep point that shares
-/// those fields (e.g. every clock pair and NVM tRCD variant of a channel
-/// count), instead of re-running AddressDecoder::decode per event per
-/// config.
+/// decoded to (channel, flat bank, row).  This is the only form memsim
+/// replays: every simulation builds one (PredecodedTrace::Builder is the
+/// only code that turns events into requests) and replays it.  The
+/// decode depends only on the mapping geometry — not on the clocks,
+/// timing, energy, or controller policy — so one predecoded trace feeds
+/// every sweep point that shares those fields (e.g. every clock pair and
+/// NVM tRCD variant of a channel count).
 ///
 /// Each request is one 16 B Record of input fields: its CPU tick, row,
 /// flat bank, channel and write bit.  Replay stamps the tick to a
@@ -32,8 +33,8 @@
 namespace gmd::memsim {
 
 /// Ready-to-enqueue request stream, one Record per word-granular
-/// request, in trace order.  Only MemorySystem::simulate replays it,
-/// always into a fresh system.
+/// request, in trace order.  Only MemorySystem replays it, always into
+/// a fresh system.
 struct PredecodedTrace {
   /// One word-granular request.
   struct Record {
@@ -46,9 +47,9 @@ struct PredecodedTrace {
 
   std::vector<Record> records;
 
-  /// Endurance of the stream's writes, counted once at build exactly as
-  /// MemorySystem counts raw events: the most writes any 64 B line
-  /// takes, and the number of distinct lines written.
+  /// Endurance of the stream's writes, counted once at build: the most
+  /// writes any 64 B line takes, and the number of distinct lines
+  /// written.
   std::uint64_t max_line_writes = 0;
   std::uint64_t unique_lines_written = 0;
 
@@ -90,9 +91,9 @@ static_assert(sizeof(PredecodedTrace::Record) == 16,
               "a predecoded request must stay 16 bytes");
 
 /// Builds one PredecodedTrace event by event, counting endurance as it
-/// goes.  Refuses, with Error(kConfig), a geometry whose channel or
-/// flat-bank index does not fit its Record field (more than 256
-/// channels, or more than 65,536 banks per channel).
+/// goes.  Validates the config at construction, so a geometry whose
+/// channel or flat-bank index does not fit its Record field is refused
+/// with Error(kConfig) (see MemoryConfig::validate).
 class PredecodedTrace::Builder {
  public:
   explicit Builder(const MemoryConfig& config);
@@ -100,6 +101,9 @@ class PredecodedTrace::Builder {
   /// Pre-sizes the stream for `events` events (one request each when
   /// no event is wider than a word).
   void reserve(std::size_t events) { out_.records.reserve(events); }
+
+  /// Records appended so far.
+  std::size_t size() const { return out_.records.size(); }
 
   /// Splits and decodes one event onto the end of the stream.
   void append(const cpusim::MemoryEvent& event);

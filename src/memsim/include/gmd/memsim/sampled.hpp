@@ -88,7 +88,7 @@ struct SampledSimOptions {
 
   /// Floor on each interval's half-width as a fraction of the estimate.
   /// The steady-state windows make cluster sampling unbiased to first
-  /// order (see MemorySystem::begin_measurement()), but window
+  /// order (see MemorySystem::simulate_window()), but window
   /// boundaries still leave an O(queue_depth / chunk_events) residue
   /// the t-interval cannot see when the backlog is not stationary; the
   /// floor absorbs it.
@@ -127,10 +127,11 @@ struct SampledMetrics {
 };
 
 /// Runs the chunk-sampled simulation of `trace` under `config`.
-/// Deterministic for fixed (config, trace, options).  Respects
-/// config.sim.deadline between and inside windows; config.sim
-/// worker/reference switches do not apply to the per-window replays
-/// (windows are small and run serially).
+/// Deterministic for fixed (config, trace, options).  Each window
+/// predecodes its warmup and window chunks into one record stream and
+/// replays it through MemorySystem::simulate_window; a sample covering
+/// every chunk predecodes the whole trace and replays it once.
+/// Respects config.sim.deadline between and inside windows.
 SampledMetrics simulate_sampled(const MemoryConfig& config,
                                 ChunkedTrace& trace,
                                 const SampledSimOptions& options);

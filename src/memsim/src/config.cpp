@@ -16,6 +16,13 @@ void MemoryConfig::validate() const {
   GMD_REQUIRE(ranks >= 1, "need at least one rank");
   GMD_REQUIRE(banks >= 1, "need at least one bank per rank");
   GMD_REQUIRE(rows >= 1, "need at least one row");
+  // A predecoded record's 8-bit channel and 16-bit flat-bank fields.
+  GMD_REQUIRE_AS(ErrorCode::kConfig, channels <= 256,
+                 "at most 256 channels are supported, got " << channels);
+  GMD_REQUIRE_AS(ErrorCode::kConfig,
+                 static_cast<std::uint64_t>(ranks) * banks <= 65536,
+                 "at most 65536 banks per channel are supported, got "
+                     << ranks << " ranks x " << banks << " banks");
   GMD_REQUIRE(std::has_single_bit(row_bytes), "row_bytes must be a power of two");
   GMD_REQUIRE(std::has_single_bit(bus_bytes), "bus_bytes must be a power of two");
   GMD_REQUIRE(clock_mhz >= 1, "controller clock must be positive");

@@ -40,17 +40,6 @@ HybridConfig make_hybrid_config(std::uint32_t channels,
   return config;
 }
 
-HybridMemory::HybridMemory(const HybridConfig& config)
-    : config_(config), dram_(config.dram), nvm_(config.nvm) {
-  config_.validate();
-}
-
-bool HybridMemory::routes_to_dram(std::uint64_t address) const {
-  const std::uint64_t page = address / config_.page_bytes;
-  if (promoted_pages_.contains(page)) return true;
-  return static_routes_to_dram(config_, address);
-}
-
 bool HybridMemory::static_routes_to_dram(const HybridConfig& config,
                                          std::uint64_t address) {
   // Stateless page hash: a SplitMix64 of the page number compared
@@ -61,42 +50,6 @@ bool HybridMemory::static_routes_to_dram(const HybridConfig& config,
   const double unit =
       static_cast<double>(h >> 11) * 0x1.0p-53;  // [0, 1)
   return unit < config.dram_fraction;
-}
-
-void HybridMemory::migrate_page(std::uint64_t page, std::uint64_t tick) {
-  // The copy is real memory traffic: read the page out of NVM, write it
-  // into DRAM, word by word.
-  const std::uint64_t base = page * config_.page_bytes;
-  const std::uint32_t word =
-      static_cast<std::uint32_t>(config_.nvm.access_bytes());
-  for (std::uint64_t offset = 0; offset < config_.page_bytes;
-       offset += word) {
-    nvm_.enqueue_event({tick, base + offset, word, /*is_write=*/false});
-    dram_.enqueue_event({tick, base + offset, word, /*is_write=*/true});
-  }
-  promoted_pages_.insert(page);
-  nvm_page_hits_.erase(page);
-  ++pages_migrated_;
-}
-
-void HybridMemory::enqueue_event(const cpusim::MemoryEvent& event) {
-  if (routes_to_dram(event.address)) {
-    dram_.enqueue_event(event);
-    return;
-  }
-  if (config_.migration_threshold > 0) {
-    const std::uint64_t page = event.address / config_.page_bytes;
-    if (++nvm_page_hits_[page] >= config_.migration_threshold) {
-      migrate_page(page, event.tick);
-      dram_.enqueue_event(event);  // served from DRAM post-promotion
-      return;
-    }
-  }
-  nvm_.enqueue_event(event);
-}
-
-MemoryMetrics HybridMemory::finish() {
-  return merge_metrics(dram_.finish(), nvm_.finish());
 }
 
 MemoryMetrics HybridMemory::merge_metrics(const MemoryMetrics& d,
@@ -147,21 +100,14 @@ MemoryMetrics HybridMemory::merge_metrics(const MemoryMetrics& d,
 
 MemoryMetrics HybridMemory::simulate(
     const HybridConfig& config, std::span<const cpusim::MemoryEvent> trace) {
-  HybridMemory memory(config);
-  for (const auto& event : trace) memory.enqueue_event(event);
-  return memory.finish();
+  const auto [dram_trace, nvm_trace] = predecode_hybrid(config, trace);
+  return simulate(config, dram_trace, nvm_trace);
 }
 
 MemoryMetrics HybridMemory::simulate(const HybridConfig& config,
                                      const PredecodedTrace& dram_trace,
                                      const PredecodedTrace& nvm_trace) {
-  GMD_REQUIRE(config.migration_threshold == 0,
-              "predecoded hybrid simulation requires a static split "
-              "(migration routes pages dynamically)");
   config.validate();
-  // With a static split the two sides never interact, so each side can
-  // replay its pre-routed stream independently; the merge is the same
-  // one finish() applies.
   return merge_metrics(MemorySystem::simulate(config.dram, dram_trace),
                        MemorySystem::simulate(config.nvm, nvm_trace));
 }
@@ -169,8 +115,6 @@ MemoryMetrics HybridMemory::simulate(const HybridConfig& config,
 std::pair<PredecodedTrace, PredecodedTrace> predecode_hybrid(
     const HybridConfig& config,
     const std::function<PredecodedTrace::EventChunkSource()>& open) {
-  GMD_REQUIRE(config.migration_threshold == 0,
-              "predecode_hybrid requires a static split");
   config.validate();
   std::size_t dram_events = 0;
   std::size_t events = 0;

@@ -6,8 +6,19 @@
 
 namespace gmd::memsim {
 
+namespace {
+
+void require_key(const MemoryConfig& config, const PredecodedTrace& trace) {
+  GMD_REQUIRE(trace.config_key == PredecodedTrace::key(config),
+              "predecoded trace was built for a different decode geometry ('"
+                  << trace.config_key << "' vs '"
+                  << PredecodedTrace::key(config) << "')");
+}
+
+}  // namespace
+
 MemorySystem::MemorySystem(const MemoryConfig& config)
-    : config_(config), decoder_(config), stamp_(config) {
+    : config_(config), stamp_(config) {
   config_.validate();
   channels_.reserve(config_.channels);
   for (std::uint32_t c = 0; c < config_.channels; ++c) {
@@ -20,51 +31,7 @@ MemorySystem::MemorySystem(const MemoryConfig& config)
   }
 }
 
-std::uint64_t MemorySystem::tick_to_memory_cycle(std::uint64_t tick) const {
-  return memsim::tick_to_memory_cycle(config_, tick);
-}
-
-void MemorySystem::enqueue_event(const cpusim::MemoryEvent& event) {
-  GMD_REQUIRE(!finished_, "enqueue_event after finish()");
-  GMD_REQUIRE(event.size > 0, "event size must be positive");
-  const std::uint64_t word = config_.access_bytes();
-  const std::uint64_t cycle = stamp_(event.tick);
-  // Split wide accesses into word-granular requests, as a memory
-  // controller's transaction splitter would.  Power-of-two words (the
-  // usual case) round with a mask instead of a division pair.
-  std::uint64_t first;
-  std::uint64_t last;
-  if ((word & (word - 1)) == 0) {
-    first = event.address & ~(word - 1);
-    last = (event.address + event.size - 1) & ~(word - 1);
-  } else {
-    first = event.address / word * word;
-    last = (event.address + event.size - 1) / word * word;
-  }
-  for (std::uint64_t addr = first; addr <= last; addr += word) {
-    enqueue_word(cycle, addr, event.is_write);
-  }
-}
-
-void MemorySystem::enqueue_word(std::uint64_t cycle, std::uint64_t address,
-                                bool is_write) {
-  const DecodedAddress loc = decoder_.decode(address);
-  Request request;
-  request.arrival = cycle;
-  request.rank = loc.rank;
-  request.bank = loc.bank;
-  request.row = loc.row;
-  request.column = loc.column;
-  request.is_write = is_write;
-  channels_[loc.channel].enqueue(request);
-  if (is_write) line_writes_.bump(address / 64);
-}
-
-void MemorySystem::enqueue_predecoded(const PredecodedTrace& trace) {
-  GMD_REQUIRE(trace.config_key == PredecodedTrace::key(config_),
-              "predecoded trace was built for a different decode geometry ('"
-                  << trace.config_key << "' vs '"
-                  << PredecodedTrace::key(config_) << "')");
+void MemorySystem::replay(std::span<const PredecodedTrace::Record> records) {
   // The stream carries CPU ticks; each request's cycle is stamped here
   // under this config's clocks.  The requests split from one event (and
   // runs of events) share a tick, so a cycle is computed once per run.
@@ -73,7 +40,7 @@ void MemorySystem::enqueue_predecoded(const PredecodedTrace& trace) {
   const TickStamp stamp = stamp_;
   std::uint64_t tick = 0;
   std::uint64_t cycle = 0;
-  for (const PredecodedTrace::Record& r : trace.records) {
+  for (const PredecodedTrace::Record& r : records) {
     if (r.tick != tick) {
       tick = r.tick;
       cycle = stamp(tick);
@@ -84,8 +51,6 @@ void MemorySystem::enqueue_predecoded(const PredecodedTrace& trace) {
 }
 
 void MemorySystem::begin_measurement() {
-  GMD_REQUIRE(!finished_, "begin_measurement after finish()");
-  GMD_REQUIRE(!measuring_, "begin_measurement called twice");
   GMD_REQUIRE(config_.epoch_cycles == 0,
               "measurement windows don't support epoch series "
               "(epoch_cycles must be 0)");
@@ -107,15 +72,12 @@ void MemorySystem::begin_measurement() {
     start = std::max(start, baseline_[c].last_completion);
   }
   measure_start_ = start;
-  line_writes_ = FlatCounter();
 }
 
 MemoryMetrics MemorySystem::finish() {
-  GMD_REQUIRE(!finished_, "finish() called twice");
-  finished_ = true;
   // Whole-trace runs drain — every request must be accounted for.  A
   // measurement window instead stops at the serviced frontier (see
-  // begin_measurement()): its queued tail belongs to the successor
+  // simulate_window()): its queued tail belongs to the successor
   // window, mirroring the backlog it inherited from warmup.
   for (Channel& channel : channels_) {
     if (measuring_) {
@@ -127,7 +89,7 @@ MemoryMetrics MemorySystem::finish() {
 
   MemoryMetrics m;
   m.channels = config_.channels;
-  m.banks_total = decoder_.total_banks();
+  m.banks_total = config_.channels * config_.ranks * config_.banks;
 
   std::uint64_t last_completion = 0;
   for (const Channel& channel : channels_) {
@@ -213,9 +175,6 @@ MemoryMetrics MemorySystem::finish() {
                 (m.execution_seconds * static_cast<double>(config_.channels))
           : 0.0;
 
-  m.max_line_writes = line_writes_.max_count();
-  m.unique_lines_written = line_writes_.size();
-
   // Merge epoch series across channels (NVMain PrintGraphs output).
   if (config_.epoch_cycles > 0) {
     std::size_t num_epochs = 0;
@@ -252,19 +211,32 @@ MemoryMetrics MemorySystem::finish() {
 
 MemoryMetrics MemorySystem::simulate(
     const MemoryConfig& config, std::span<const cpusim::MemoryEvent> trace) {
-  MemorySystem system(config);
-  for (const auto& event : trace) system.enqueue_event(event);
-  return system.finish();
+  return simulate(config, PredecodedTrace::build(config, trace));
 }
 
 MemoryMetrics MemorySystem::simulate(const MemoryConfig& config,
                                      const PredecodedTrace& trace) {
+  require_key(config, trace);
   MemorySystem system(config);
-  system.enqueue_predecoded(trace);
+  system.replay(trace.records);
   MemoryMetrics m = system.finish();
   m.max_line_writes = trace.max_line_writes;
   m.unique_lines_written = trace.unique_lines_written;
   return m;
+}
+
+MemoryMetrics MemorySystem::simulate_window(const MemoryConfig& config,
+                                            const PredecodedTrace& trace,
+                                            std::size_t warmup_records) {
+  require_key(config, trace);
+  GMD_REQUIRE(warmup_records <= trace.size(),
+              "warmup exceeds the window's stream");
+  const std::span<const PredecodedTrace::Record> records = trace.records;
+  MemorySystem system(config);
+  system.replay(records.first(warmup_records));
+  system.begin_measurement();
+  system.replay(records.subspan(warmup_records));
+  return system.finish();
 }
 
 }  // namespace gmd::memsim

@@ -6,25 +6,27 @@
 
 namespace gmd::memsim {
 
+namespace {
+
+/// Validates before the decoder reads the geometry.
+const MemoryConfig& validated(const MemoryConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
 PredecodedTrace::Builder::Builder(const MemoryConfig& config)
-    : decoder_(config), word_(config.access_bytes()), banks_(config.banks) {
-  // The Record's 8-bit channel and 16-bit flat-bank fields.
-  GMD_REQUIRE_AS(ErrorCode::kConfig, config.channels <= 256,
-                 "a predecoded stream holds at most 256 channels, got "
-                     << config.channels);
-  GMD_REQUIRE_AS(
-      ErrorCode::kConfig,
-      static_cast<std::uint64_t>(config.ranks) * config.banks <= 65536,
-      "a predecoded stream holds at most 65536 banks per channel, got "
-          << config.ranks << " ranks x " << config.banks << " banks");
+    : decoder_(validated(config)),
+      word_(config.access_bytes()),
+      banks_(config.banks) {
   out_.config_key = key(config);
 }
 
 void PredecodedTrace::Builder::append(const cpusim::MemoryEvent& event) {
   GMD_REQUIRE(event.size > 0, "event size must be positive");
   // Split wide accesses into word-granular requests, as a memory
-  // controller's transaction splitter would (MemorySystem::enqueue_event
-  // does the same split on the undecoded path).
+  // controller's transaction splitter would.
   std::uint64_t first;
   std::uint64_t last;
   if ((word_ & (word_ - 1)) == 0) {  // power-of-two word: mask, not divide

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "gmd/common/deadline.hpp"
 #include "gmd/common/error.hpp"
 #include "gmd/common/rng.hpp"
 #include "gmd/common/stats.hpp"
 #include "gmd/memsim/memory_system.hpp"
+#include "gmd/memsim/predecoded_trace.hpp"
 
 namespace gmd::memsim {
 
@@ -131,19 +133,27 @@ std::uint64_t to_count(double x) {
   return x <= 0.0 ? 0 : static_cast<std::uint64_t>(std::llround(x));
 }
 
+/// Appends chunks [first, end) of `trace` to `builder`; returns the
+/// number of events appended.
+std::uint64_t append_chunks(PredecodedTrace::Builder& builder,
+                            ChunkedTrace& trace, std::size_t first,
+                            std::size_t end) {
+  std::uint64_t events = 0;
+  for (std::size_t k = first; k < end; ++k) {
+    const std::span<const cpusim::MemoryEvent> chunk = trace.chunk(k);
+    for (const cpusim::MemoryEvent& event : chunk) builder.append(event);
+    events += chunk.size();
+  }
+  return events;
+}
+
 /// Every chunk sampled: one exact exhaustive run, degenerate intervals.
 SampledMetrics simulate_all(const MemoryConfig& config, ChunkedTrace& trace,
                             std::size_t num_chunks) {
-  MemorySystem system(config);
-  std::uint64_t events = 0;
-  for (std::size_t k = 0; k < num_chunks; ++k) {
-    for (const cpusim::MemoryEvent& event : trace.chunk(k)) {
-      system.enqueue_event(event);
-      ++events;
-    }
-  }
+  PredecodedTrace::Builder builder(config);
+  const std::uint64_t events = append_chunks(builder, trace, 0, num_chunks);
   SampledMetrics out;
-  out.estimate = system.finish();
+  out.estimate = MemorySystem::simulate(config, std::move(builder).finish());
   out.chunks_total = num_chunks;
   out.chunks_sampled = num_chunks;
   out.events_simulated = events;
@@ -189,22 +199,17 @@ SampledMetrics simulate_sampled(const MemoryConfig& config,
   obs.reserve(n);
   for (const std::size_t k : picks) {
     if (config.sim.deadline != nullptr) config.sim.deadline->check();
-    MemorySystem system(config);
+    // One record stream per window: the warmup chunks, then the window.
     const std::size_t first_warm =
         k >= options.warmup_chunks ? k - options.warmup_chunks : 0;
-    for (std::size_t j = first_warm; j < k; ++j) {
-      for (const cpusim::MemoryEvent& event : trace.chunk(j)) {
-        system.enqueue_event(event);
-        ++out.events_simulated;
-      }
-    }
-    system.begin_measurement();
-    for (const cpusim::MemoryEvent& event : trace.chunk(k)) {
-      system.enqueue_event(event);
-      ++out.events_simulated;
-      ++out.events_measured;
-    }
-    const MemoryMetrics w = system.finish();
+    PredecodedTrace::Builder builder(config);
+    out.events_simulated += append_chunks(builder, trace, first_warm, k);
+    const std::size_t warmup_records = builder.size();
+    const std::uint64_t window_events = append_chunks(builder, trace, k, k + 1);
+    out.events_simulated += window_events;
+    out.events_measured += window_events;
+    const MemoryMetrics w = MemorySystem::simulate_window(
+        config, std::move(builder).finish(), warmup_records);
 
     const auto requests =
         static_cast<double>(w.total_reads + w.total_writes);

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -276,30 +277,39 @@ inline constexpr Frozen kCornerHybrid[] = {
     {"corner_hybrid_x4", 0xbca862289ce923ae, 878.60984691766657,
      0.15505954406787154, 14, 149},
 };
-inline constexpr Frozen kHybridHalf{"mixed_hybrid_x4_f0.5", 0xa37e7f2f717192de,
-                              599.73958333333337, 0.1162931052259229, 16, 346};
-inline constexpr Frozen kHybridQuarter{"mixed_hybrid_x4_f0.25", 0xc52dffaa8819de96,
-                              1139.82125, 0.11551885791050306, 16, 346};
-inline constexpr Frozen kManyBanks{"many_banks_nvm_x2_4rk_128bk", 0xf7b1fb87426dfdcf,
-                              754.33706554700257, 0.066289948959560266, 1, 1429};
+inline constexpr Frozen kHybridHalf{
+    "mixed_hybrid_x4_f0.5", 0xa37e7f2f717192de, 599.73958333333337,
+    0.1162931052259229, 16, 346};
+inline constexpr Frozen kHybridQuarter{
+    "mixed_hybrid_x4_f0.25", 0xc52dffaa8819de96, 1139.82125,
+    0.11551885791050306, 16, 346};
+inline constexpr Frozen kManyBanks{
+    "many_banks_nvm_x2_4rk_128bk", 0xf7b1fb87426dfdcf, 754.33706554700257,
+    0.066289948959560266, 1, 1429};
 inline constexpr Frozen kEndurance[] = {
     {"endurance_dram_x2", 0x8b38da1bfa0108e3, 569.68539325842698,
      0.13870548178413344, 15, 205},
     {"endurance_nvm_x2", 0x5b2b99cda40485eb, 1399.2808988764045,
      0.057543127582988941, 15, 205},
 };
-inline constexpr Frozen kEnduranceHybridDramSide{"endurance_hybrid_x4_dram_side", 0xb4467ab4e95e33a0,
-                              564.78231292517012, 0.1374634414513469, 15, 125};
-inline constexpr Frozen kEnduranceHybridNvmSide{"endurance_hybrid_x4_nvm_side", 0x49393bc79009bcee,
-                              1083.7750000000001, 0.057715250622111629, 1, 80};
-inline constexpr Frozen kEnduranceHybrid{"endurance_hybrid_x4", 0x2276405a10b3b003,
-                              798.0374531835206, 0.097589346036729266, 15, 205};
-inline constexpr Frozen kRefreshEpochs{"dram_x2_refresh_epochs", 0x748a5be2c705cbb0,
-                              505.67250000000001, 0.16320361784300474, 16, 346};
-inline constexpr Frozen kSampledTenth{"dram_x2_sampled_0.1", 0x03ca1ac86cd86765,
-                              467.45708333333334, 0.15637912776536878, 0, 0};
-inline constexpr Frozen kSampledAll{"dram_x2_sampled_1.0", 0xa704dd8cf2cc7357,
-                              510.35513888888892, 0.15629426404302971, 185, 2542};
+inline constexpr Frozen kEnduranceHybridDramSide{
+    "endurance_hybrid_x4_dram_side", 0xb4467ab4e95e33a0, 564.78231292517012,
+    0.1374634414513469, 15, 125};
+inline constexpr Frozen kEnduranceHybridNvmSide{
+    "endurance_hybrid_x4_nvm_side", 0x49393bc79009bcee, 1083.7750000000001,
+    0.057715250622111629, 1, 80};
+inline constexpr Frozen kEnduranceHybrid{
+    "endurance_hybrid_x4", 0x2276405a10b3b003, 798.0374531835206,
+    0.097589346036729266, 15, 205};
+inline constexpr Frozen kRefreshEpochs{
+    "dram_x2_refresh_epochs", 0x748a5be2c705cbb0, 505.67250000000001,
+    0.16320361784300474, 16, 346};
+inline constexpr Frozen kSampledTenth{
+    "dram_x2_sampled_0.1", 0x03ca1ac86cd86765, 467.45708333333334,
+    0.15637912776536878, 0, 0};
+inline constexpr Frozen kSampledAll{
+    "dram_x2_sampled_1.0", 0xa704dd8cf2cc7357, 510.35513888888892,
+    0.15629426404302971, 185, 2542};
 inline constexpr Frozen kPolicyMatrix[] = {
     {"DramFcfsOpenQ4", 0xe2d933c1f663e117, 73.725416666666661,
      0.15551321590221118, 16, 346},
@@ -366,5 +376,13 @@ inline constexpr Frozen kPolicyMatrix[] = {
     {"NvmFrFcfsClosedReadPrioQ32", 0xaf74feb2b15f8bae, 1675.1712500000001,
      0.078701976747979852, 16, 346},
 };
+
+/// kPolicyMatrix's entry for `cell`.
+inline const Frozen& frozen_for(const PolicyCell& cell) {
+  for (const Frozen& frozen : kPolicyMatrix) {
+    if (cell.name() == frozen.name) return frozen;
+  }
+  throw std::out_of_range("no frozen policy cell " + cell.name());
+}
 
 }  // namespace gmd::memsim::golden

@@ -1,11 +1,11 @@
 /// Golden-equivalence suite: the bitmask-window fast scheduler must be
 /// bit-identical to the original scan-and-erase reference scheduler
-/// (MemSimOptions::reference_mode) on every policy combination, and the
-/// shared predecoded-trace replay must be bit-identical to the raw
-/// event path.  Any divergence here means the fast path changed
-/// simulated behaviour, not just speed.  The replay's cooperative
-/// deadline polling is checked here too: a live token must not perturb
-/// a single bit.
+/// (MemSimOptions::reference_mode) on every policy combination, and a
+/// shared predecoded-trace replay must reproduce the retired raw event
+/// path's frozen bits (event_path_golden.hpp).  Any divergence here
+/// means the fast path changed simulated behaviour, not just speed.
+/// The replay's cooperative deadline polling is checked here too: a
+/// live token must not perturb a single bit.
 
 #include <gtest/gtest.h>
 
@@ -79,11 +79,12 @@ TEST_P(FastVsReference, IdenticalMetrics) {
 }
 
 TEST_P(FastVsReference, IdenticalMetricsPredecoded) {
-  const MemoryConfig config = make_config();
-  const auto trace = mixed_trace();
-  const auto predecoded = PredecodedTrace::build(config, trace);
-  expect_identical(MemorySystem::simulate(config, predecoded),
-                   run_reference(config, trace));
+  // A shared stream replays to the retired event path's frozen bits.
+  const golden::PolicyCell cell = cell_of(GetParam());
+  const MemoryConfig config = cell.config();
+  const auto predecoded = PredecodedTrace::build(config, mixed_trace());
+  golden::expect_frozen(MemorySystem::simulate(config, predecoded),
+                        golden::frozen_for(cell));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -170,19 +171,18 @@ TEST(HybridEquivalence, FastVsReference) {
 }
 
 TEST(HybridEquivalence, PredecodedVsEventPath) {
+  // Shared side streams replay to the retired event path's frozen bits.
   const HybridConfig config = make_hybrid_config(4, 666, 3000, 40);
-  const auto trace = mixed_trace();
-  const auto [dram_side, nvm_side] = predecode_hybrid(config, trace);
-  expect_identical(HybridMemory::simulate(config, dram_side, nvm_side),
-                   HybridMemory::simulate(config, trace));
+  const auto [dram_side, nvm_side] = predecode_hybrid(config, mixed_trace());
+  golden::expect_frozen(HybridMemory::simulate(config, dram_side, nvm_side),
+                        golden::kHybridHalf);
 }
 
 TEST(HybridEquivalence, UnevenSplitPredecoded) {
   HybridConfig config = make_hybrid_config(4, 666, 3000, 40, 0.25);
-  const auto trace = mixed_trace();
-  const auto [dram_side, nvm_side] = predecode_hybrid(config, trace);
-  expect_identical(HybridMemory::simulate(config, dram_side, nvm_side),
-                   HybridMemory::simulate(config, trace));
+  const auto [dram_side, nvm_side] = predecode_hybrid(config, mixed_trace());
+  golden::expect_frozen(HybridMemory::simulate(config, dram_side, nvm_side),
+                        golden::kHybridQuarter);
 }
 
 // Deadlines in the predecoded replay ---------------------------------

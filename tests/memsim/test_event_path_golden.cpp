@@ -33,8 +33,9 @@ TEST(EventPathGolden, MixedTrace) {
   for (const DeviceType device : {DeviceType::kDram, DeviceType::kNvm}) {
     for (const std::uint32_t channels : {2u, 4u}) {
       const MemoryConfig config =
-          device == DeviceType::kDram ? make_dram_config(channels, 666, 3000)
-                                      : make_nvm_config(channels, 666, 3000, 40);
+          device == DeviceType::kDram
+              ? make_dram_config(channels, 666, 3000)
+              : make_nvm_config(channels, 666, 3000, 40);
       expect_frozen(MemorySystem::simulate(config, trace), kMixed[i++]);
     }
   }

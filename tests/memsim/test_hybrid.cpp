@@ -44,13 +44,15 @@ TEST(HybridConfig, RejectsSwappedTechnologies) {
 
 TEST(HybridMemory, RoutingIsDeterministicAndPageGranular) {
   const HybridConfig config = make_hybrid_config(2, 400, 2000, 20);
-  const HybridMemory memory(config);
+  const auto routes_to_dram = [&config](std::uint64_t address) {
+    return HybridMemory::static_routes_to_dram(config, address);
+  };
   for (std::uint64_t page = 0; page < 64; ++page) {
     const std::uint64_t base = page * config.page_bytes;
-    const bool first = memory.routes_to_dram(base);
+    const bool first = routes_to_dram(base);
     // All addresses in one page route the same way.
-    EXPECT_EQ(memory.routes_to_dram(base + 64), first);
-    EXPECT_EQ(memory.routes_to_dram(base + config.page_bytes - 1), first);
+    EXPECT_EQ(routes_to_dram(base + 64), first);
+    EXPECT_EQ(routes_to_dram(base + config.page_bytes - 1), first);
   }
 }
 
@@ -59,13 +61,11 @@ TEST(HybridMemory, FractionControlsDramShare) {
   low.dram_fraction = 0.2;
   HybridConfig high = make_hybrid_config(2, 400, 2000, 20);
   high.dram_fraction = 0.8;
-  const HybridMemory low_mem(low);
-  const HybridMemory high_mem(high);
   int low_hits = 0, high_hits = 0;
   for (std::uint64_t page = 0; page < 2000; ++page) {
     const std::uint64_t addr = page * 4096;
-    low_hits += low_mem.routes_to_dram(addr) ? 1 : 0;
-    high_hits += high_mem.routes_to_dram(addr) ? 1 : 0;
+    low_hits += HybridMemory::static_routes_to_dram(low, addr) ? 1 : 0;
+    high_hits += HybridMemory::static_routes_to_dram(high, addr) ? 1 : 0;
   }
   EXPECT_NEAR(low_hits / 2000.0, 0.2, 0.05);
   EXPECT_NEAR(high_hits / 2000.0, 0.8, 0.05);
@@ -101,12 +101,13 @@ TEST(HybridMemory, LatencyIsRequestWeighted) {
 
 TEST(HybridMemory, EnduranceMergesBothSides) {
   const HybridConfig config = make_hybrid_config(2, 400, 2000, 20);
-  HybridMemory memory(config);
   // Write the same line repeatedly plus one distinct line.
-  for (int i = 0; i < 7; ++i)
-    memory.enqueue_event({static_cast<std::uint64_t>(i * 100), 0x2000, 8, true});
-  memory.enqueue_event({1000, 0x900000, 8, true});
-  const MemoryMetrics m = memory.finish();
+  std::vector<MemoryEvent> trace;
+  for (int i = 0; i < 7; ++i) {
+    trace.push_back({static_cast<std::uint64_t>(i * 100), 0x2000, 8, true});
+  }
+  trace.push_back({1000, 0x900000, 8, true});
+  const MemoryMetrics m = HybridMemory::simulate(config, trace);
   EXPECT_EQ(m.max_line_writes, 7u);
   EXPECT_EQ(m.unique_lines_written, 2u);
 }

@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "gmd/common/error.hpp"
 
 namespace gmd::memsim {
 namespace {
@@ -33,10 +32,9 @@ TEST(MemorySystem, TickScalingFollowsClockRatio) {
   MemoryConfig config = small_config();
   config.cpu_freq_mhz = 2000;
   config.clock_mhz = 400;
-  const MemorySystem system(config);
-  EXPECT_EQ(system.tick_to_memory_cycle(0), 0u);
-  EXPECT_EQ(system.tick_to_memory_cycle(2000), 400u);
-  EXPECT_EQ(system.tick_to_memory_cycle(5), 1u);
+  EXPECT_EQ(tick_to_memory_cycle(config, 0), 0u);
+  EXPECT_EQ(tick_to_memory_cycle(config, 2000), 400u);
+  EXPECT_EQ(tick_to_memory_cycle(config, 5), 1u);
 }
 
 TEST(MemorySystem, CountsReadsAndWrites) {
@@ -86,18 +84,15 @@ TEST(MemorySystem, BandwidthGrowsWithCpuFrequency) {
 }
 
 TEST(MemorySystem, WideAccessSplitsIntoWords) {
-  MemoryConfig config = small_config();
-  MemorySystem system(config);
-  system.enqueue_event({0, 0x1000, 256, false});  // 4 words
-  const MemoryMetrics m = system.finish();
+  const std::vector<MemoryEvent> trace = {{0, 0x1000, 256, false}};  // 4 words
+  const MemoryMetrics m = MemorySystem::simulate(small_config(), trace);
   EXPECT_EQ(m.total_reads, 4u);
 }
 
 TEST(MemorySystem, UnalignedAccessTouchesBothWords) {
-  MemoryConfig config = small_config();
-  MemorySystem system(config);
-  system.enqueue_event({0, 0x103C, 8, false});  // straddles 0x1000/0x1040
-  const MemoryMetrics m = system.finish();
+  // Straddles 0x1000/0x1040.
+  const std::vector<MemoryEvent> trace = {{0, 0x103C, 8, false}};
+  const MemoryMetrics m = MemorySystem::simulate(small_config(), trace);
   EXPECT_EQ(m.total_reads, 2u);
 }
 
@@ -135,10 +130,12 @@ TEST(MemorySystem, NvmPowerGrowsWithControllerClock) {
 }
 
 TEST(MemorySystem, EnduranceTracksHottestLine) {
-  MemorySystem system(small_config());
-  for (int i = 0; i < 10; ++i) system.enqueue_event({static_cast<std::uint64_t>(i * 100), 0x4000, 8, true});
-  system.enqueue_event({2000, 0x8000, 8, true});
-  const MemoryMetrics m = system.finish();
+  std::vector<MemoryEvent> trace;
+  for (int i = 0; i < 10; ++i) {
+    trace.push_back({static_cast<std::uint64_t>(i * 100), 0x4000, 8, true});
+  }
+  trace.push_back({2000, 0x8000, 8, true});
+  const MemoryMetrics m = MemorySystem::simulate(small_config(), trace);
   EXPECT_EQ(m.max_line_writes, 10u);
   EXPECT_EQ(m.unique_lines_written, 2u);
 }
@@ -157,18 +154,6 @@ TEST(MemorySystem, EmptyTraceYieldsZeroMetrics) {
   EXPECT_EQ(m.execution_seconds, 0.0);
   EXPECT_EQ(m.avg_power_per_channel_w, 0.0);
   EXPECT_EQ(m.avg_bandwidth_per_bank_mbs, 0.0);
-}
-
-TEST(MemorySystem, FinishTwiceThrows) {
-  MemorySystem system(small_config());
-  (void)system.finish();
-  EXPECT_THROW((void)system.finish(), Error);
-}
-
-TEST(MemorySystem, EnqueueAfterFinishThrows) {
-  MemorySystem system(small_config());
-  (void)system.finish();
-  EXPECT_THROW(system.enqueue_event({0, 0, 8, false}), Error);
 }
 
 TEST(MemorySystem, MetricValuesMatchNames) {

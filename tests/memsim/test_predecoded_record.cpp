@@ -1,7 +1,8 @@
 /// The 16 B predecoded record: its size, the geometries whose channel
-/// or flat-bank index does not fit it (refused when the stream is
-/// constructed), and the endurance totals a stream counts once at
-/// build, which must equal what the raw event path counts per write.
+/// or flat-bank index does not fit it (refused by config validation,
+/// before any stream is built), and the endurance totals a stream
+/// counts once at build, which must equal the retired raw event path's
+/// frozen counts (event_path_golden.hpp).
 
 #include <gtest/gtest.h>
 
@@ -48,8 +49,9 @@ TEST(PredecodedRecord, RefusesMoreChannelsThanTheFieldHolds) {
     PredecodedTrace::build(config, std::span<const MemoryEvent>{});
   });
   expect_config_error([&] { PredecodedTrace::build(config, trace); });
-  // The raw path has no such field and still simulates it.
-  EXPECT_GT(MemorySystem::simulate(config, trace).total_writes, 0u);
+  // Every entry refuses it up front: the config itself is invalid.
+  expect_config_error([&] { config.validate(); });
+  expect_config_error([&] { MemorySystem::simulate(config, trace); });
 
   HybridConfig hybrid = make_hybrid_config(4, 400, 2000, 20);
   hybrid.nvm.channels = 257;
@@ -71,20 +73,17 @@ TEST(PredecodedRecord, FlatBanksPastOneByteReplayLikeRawEvents) {
   // field, and the replay must still land each request on its bank.
   const MemoryConfig config = golden::many_banks_config();
   const auto trace = golden::many_banks_trace();
-  const MemoryMetrics raw = MemorySystem::simulate(config, trace);
-  const MemoryMetrics replayed =
-      MemorySystem::simulate(config, PredecodedTrace::build(config, trace));
-  EXPECT_EQ(raw.metric_values(), replayed.metric_values());
-  EXPECT_EQ(raw.row_hits, replayed.row_hits);
-  EXPECT_EQ(raw.row_misses, replayed.row_misses);
-  EXPECT_EQ(raw.execution_seconds, replayed.execution_seconds);
-  EXPECT_EQ(raw.dynamic_energy_j, replayed.dynamic_energy_j);
+  golden::expect_frozen(
+      MemorySystem::simulate(config, PredecodedTrace::build(config, trace)),
+      golden::kManyBanks);
 }
 
 TEST(PredecodedRecord, EnduranceCountedAtBuildMatchesRawEvents) {
   const auto trace = endurance_trace();
-  for (const MemoryConfig& config : {make_dram_config(2, 400, 2000),
-                                     make_nvm_config(2, 400, 2000, 20)}) {
+  const MemoryConfig configs[] = {make_dram_config(2, 400, 2000),
+                                  make_nvm_config(2, 400, 2000, 20)};
+  for (std::size_t i = 0; i < std::size(configs); ++i) {
+    const MemoryConfig& config = configs[i];
     ASSERT_EQ(config.access_bytes(), 64u);
     const PredecodedTrace stream = PredecodedTrace::build(config, trace);
     // The hot line takes 12 narrow writes and one word of each of the 3
@@ -92,7 +91,7 @@ TEST(PredecodedRecord, EnduranceCountedAtBuildMatchesRawEvents) {
     // plus 4 around the hot one.
     EXPECT_EQ(stream.max_line_writes, 15u) << config.name;
     EXPECT_EQ(stream.unique_lines_written, 205u) << config.name;
-    const MemoryMetrics raw = MemorySystem::simulate(config, trace);
+    const golden::Frozen& raw = golden::kEndurance[i];
     EXPECT_EQ(raw.max_line_writes, stream.max_line_writes) << config.name;
     EXPECT_EQ(raw.unique_lines_written, stream.unique_lines_written)
         << config.name;
@@ -104,19 +103,11 @@ TEST(PredecodedRecord, EnduranceCountedAtBuildMatchesRawEvents) {
 }
 
 TEST(PredecodedRecord, HybridSidesCountTheirOwnEndurance) {
-  const auto trace = endurance_trace();
   const HybridConfig config = make_hybrid_config(4, 400, 2000, 20);
-  std::vector<MemoryEvent> dram_events;
-  std::vector<MemoryEvent> nvm_events;
-  for (const MemoryEvent& event : trace) {
-    (HybridMemory::static_routes_to_dram(config, event.address) ? dram_events
-                                                                 : nvm_events)
-        .push_back(event);
-  }
-  const auto [dram, nvm] = predecode_hybrid(config, trace);
-  const MemoryMetrics raw_dram = MemorySystem::simulate(config.dram,
-                                                        dram_events);
-  const MemoryMetrics raw_nvm = MemorySystem::simulate(config.nvm, nvm_events);
+  const auto [dram, nvm] = predecode_hybrid(config, endurance_trace());
+  // The raw path's counts for each side's routed events.
+  const golden::Frozen& raw_dram = golden::kEnduranceHybridDramSide;
+  const golden::Frozen& raw_nvm = golden::kEnduranceHybridNvmSide;
   // Both sides take writes, so both counts are exercised.
   EXPECT_GT(raw_dram.unique_lines_written, 0u);
   EXPECT_GT(raw_nvm.unique_lines_written, 0u);
@@ -126,7 +117,7 @@ TEST(PredecodedRecord, HybridSidesCountTheirOwnEndurance) {
   EXPECT_EQ(nvm.unique_lines_written, raw_nvm.unique_lines_written);
 
   const MemoryMetrics merged = HybridMemory::simulate(config, dram, nvm);
-  const MemoryMetrics raw = HybridMemory::simulate(config, trace);
+  const golden::Frozen& raw = golden::kEnduranceHybrid;
   EXPECT_EQ(merged.max_line_writes, raw.max_line_writes);
   EXPECT_EQ(merged.unique_lines_written, raw.unique_lines_written);
   EXPECT_EQ(raw.unique_lines_written, 205u);

@@ -36,9 +36,7 @@ double mixed_latency(const MemoryConfig& config,
                      const std::vector<MemoryEvent>& trace) {
   MemoryConfig single = config;
   single.channels = 1;
-  MemorySystem system(single);
-  for (const auto& event : trace) system.enqueue_event(event);
-  return system.finish().avg_total_latency_cycles;
+  return MemorySystem::simulate(single, trace).avg_total_latency_cycles;
 }
 
 TEST(ReadPriority, ImprovesLatencyOnReadHeavyMix) {

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "gmd/common/error.hpp"
 #include "gmd/memsim/memory_system.hpp"
@@ -181,16 +182,18 @@ TEST_F(TraceRobustness, UnsortedTraceRejectedWithClearError) {
   // The memory system requires tick-ordered input (as NVMain's trace
   // reader does); feeding a shuffled trace must fail loudly, not
   // corrupt statistics.
-  memsim::MemorySystem system(memsim::make_dram_config(1, 400, 2000));
-  system.enqueue_event({100, 0x100, 64, false});
-  EXPECT_THROW(system.enqueue_event({50, 0x140, 64, false}), Error);
+  const std::vector<cpusim::MemoryEvent> trace = {{100, 0x100, 64, false},
+                                                  {50, 0x140, 64, false}};
+  EXPECT_THROW(memsim::MemorySystem::simulate(
+                   memsim::make_dram_config(1, 400, 2000), trace),
+               Error);
 }
 
 TEST_F(TraceRobustness, EqualTicksAreAccepted) {
-  memsim::MemorySystem system(memsim::make_dram_config(1, 400, 2000));
-  system.enqueue_event({100, 0x100, 64, false});
-  system.enqueue_event({100, 0x140, 64, true});
-  const auto m = system.finish();
+  const std::vector<cpusim::MemoryEvent> trace = {{100, 0x100, 64, false},
+                                                  {100, 0x140, 64, true}};
+  const auto m = memsim::MemorySystem::simulate(
+      memsim::make_dram_config(1, 400, 2000), trace);
   EXPECT_EQ(m.total_reads + m.total_writes, 2u);
 }
 

@@ -1,10 +1,11 @@
 /// Clock-free predecoded streams: a stream stores CPU ticks and replay
 /// stamps controller cycles, so one stream built under any clock pair
-/// must replay every paper (controller, CPU) pair bit-identically to the
-/// raw event path.  The traces cover the corners of the stamp: wide
-/// events split into several requests that share one cycle, repeated
-/// ticks, ticks out of order across channels, and ticks whose product
-/// with the controller clock no longer fits in 64 bits.
+/// must replay every paper (controller, CPU) pair bit-identically to
+/// simulating the events under that pair (EventPathGolden holds both to
+/// the retired raw event path's bits).  The traces cover the corners of
+/// the stamp: wide events split into several requests that share one
+/// cycle, repeated ticks, ticks out of order across channels, and ticks
+/// whose product with the controller clock no longer fits in 64 bits.
 
 #include <gtest/gtest.h>
 
